@@ -15,11 +15,12 @@
 //     source; on wraparound such comparisons silently invert.
 //   - mixerlock: an intra-package call-graph check that no function
 //     calls, directly or transitively through same-package helpers, a
-//     function that acquires a sync.Mutex/RWMutex field while the
-//     caller already holds one — the self-deadlock the shared-budget
-//     mixer's comment discipline ("callers hold b.mu") used to be the
-//     only guard against. Read locks (RLock) are tracked separately
-//     from write locks.
+//     function that acquires any sync.Mutex/RWMutex while the caller
+//     holds any mutex — the self-deadlock the shared-budget mixer's
+//     comment discipline ("callers hold b.mu") used to be the only
+//     guard against — and that no function re-acquires a mutex it
+//     holds: a double Lock, a recursive RLock, or an RLock while
+//     write-held.
 //   - slabaccess: any use of the position-major slack slab fields
 //     (avSlack, wcSlack, minSlack) outside the file that declares them;
 //     everything else must go through the SlackAvAt / SlackWcAt /
@@ -50,6 +51,15 @@
 //     termination signal — joined via WaitGroup.Done, bounded loops
 //     only, or every unbounded loop selects on ctx.Done()/a close-only
 //     channel — unless justified with //qos:goroutine-ok <reason>.
+//
+// mixerlock, lockorder and blockunderlock are three visitors of one
+// held-lock walk (lock.go): a single flow-sensitive traversal per
+// function that tracks the held mutexes and reports each acquire,
+// blocking construct and call-under-lock to every visitor. They differ
+// only in scope — mixerlock follows calls within the caller's package,
+// the other two across the module — and in what they report. Every
+// call-graph check shares one function index, one callee resolver and
+// one fixpoint helper (callgraph.go), built once per Analyze.
 //
 // The arithmetic checks (cyclesarith, infguard) honour the annotation
 //
@@ -171,28 +181,25 @@ func sortDiagnostics(ds []Diagnostic) {
 
 // Analyze runs every check over the loaded packages and returns the
 // findings sorted by position. The per-package checks (cyclesarith,
-// infguard, mixerlock, slabaccess) see one package at a time; the
-// module-wide checks (atomicsafety, lockorder, hotalloc, and the
-// liveness trio blockunderlock/ctxloop/goroutinelife, which share one
-// precomputed blocking closure) see the whole package set, so
+// infguard, slabaccess) see one package at a time; the call-graph
+// checks share one function index over the whole package set, so
 // cross-package mixed access, lock-order cycles, hot-path reachability
-// and may-block call chains are visible.
+// and may-block call chains are visible (mixerlock alone keeps to the
+// caller's package).
 func Analyze(pkgs []*Package) []Diagnostic {
 	ann := collectAnnotations(pkgs)
 	var raw []finding
 	for _, p := range pkgs {
 		raw = append(raw, checkCyclesArith(p)...)
 		raw = append(raw, checkInfGuard(p)...)
-		raw = append(raw, checkMixerLock(p)...)
 		raw = append(raw, checkSlabAccess(p)...)
 	}
+	ix := buildIndex(pkgs)
 	raw = append(raw, checkAtomicSafety(pkgs)...)
-	raw = append(raw, checkLockOrder(pkgs)...)
-	raw = append(raw, checkHotAlloc(pkgs, ann)...)
-	bi := buildBlockInfo(pkgs)
-	raw = append(raw, checkBlockUnderLock(pkgs, bi)...)
-	raw = append(raw, checkCtxLoop(pkgs, bi)...)
-	raw = append(raw, checkGoroutineLife(pkgs, bi)...)
+	raw = append(raw, checkLocks(ix)...)
+	raw = append(raw, checkHotAlloc(ix, ann)...)
+	raw = append(raw, checkCtxLoop(ix)...)
+	raw = append(raw, checkGoroutineLife(ix)...)
 	ds := ann.resolve(raw)
 	sortDiagnostics(ds)
 	return ds

@@ -7,133 +7,41 @@ import (
 	"strings"
 )
 
-// This file holds the machinery shared by the concurrency-liveness
-// checks (blockunderlock, ctxloop, goroutinelife) — the module-wide
-// function inventory, the transitive mayBlock closure over the static
-// call graph, and the sync.Cond → guarding-mutex association — plus
-// the blockunderlock check itself.
+// This file holds the may-block closure the concurrency-liveness
+// checks (blockunderlock, ctxloop, goroutinelife) share — the direct
+// blocking constructs, their transitive closure over the static call
+// graph, and the sync.Cond → guarding-mutex association — plus the
+// blockunderlock visitor of the held-lock walk.
 
-// modFunc is one declared function of the module under analysis.
-type modFunc struct {
-	p    *Package
-	fn   *types.Func
-	decl *ast.FuncDecl
-}
-
-// moduleFuncDecls lists every function declaration in the package set
-// in deterministic (package, file, source) order — map iteration over
-// functions would make fixpoints and finding order nondeterministic.
-func moduleFuncDecls(pkgs []*Package) []modFunc {
-	var out []modFunc
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						out = append(out, modFunc{p, fn, fd})
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// moduleCallee resolves a call to any function or method declared in
-// the module's package set (nil for stdlib, interface dispatch and
-// builtins). Dynamic dispatch is the known hole, shared with hotalloc:
-// an interface method call has no static callee, so closures over the
-// call graph stop there.
-func moduleCallee(p *Package, pkgSet map[*types.Package]bool, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || !pkgSet[fn.Pkg()] {
-		return nil
-	}
-	return fn
-}
-
-// blockInfo is the precomputed blocking analysis the three liveness
-// checks share: which module functions may block (and why), and which
-// mutex guards each sync.Cond.
-type blockInfo struct {
-	pkgSet map[*types.Package]bool
-	funcs  []modFunc
-	byObj  map[*types.Func]*modFunc
-	// blocks maps a function to the one-line reason it may block
-	// ("sends on a channel", "calls time.Sleep", "calls AdmitWait,
-	// which may block", …); absence means provably non-blocking under
-	// the static call graph.
-	blocks map[*types.Func]string
-	// condMu maps a sync.Cond variable to the mutex variable its L was
-	// built from (sync.NewCond(&x.mu) assigned to an ident or field).
-	condMu map[*types.Var]*types.Var
-}
-
-// buildBlockInfo computes the module's blocking closure once; Analyze
-// hands it to each liveness check.
-func buildBlockInfo(pkgs []*Package) *blockInfo {
-	bi := &blockInfo{
-		pkgSet: make(map[*types.Package]bool, len(pkgs)),
-		funcs:  moduleFuncDecls(pkgs),
-		byObj:  make(map[*types.Func]*modFunc),
-		blocks: make(map[*types.Func]string),
-		condMu: make(map[*types.Var]*types.Var),
-	}
-	for _, p := range pkgs {
-		bi.pkgSet[p.Pkg] = true
-	}
-	for i := range bi.funcs {
-		bi.byObj[bi.funcs[i].fn] = &bi.funcs[i]
-	}
-
-	// Direct blocking reasons and the static call graph. Everything
-	// under a go statement is excluded: the spawn itself never blocks
-	// the spawner (goroutinelife owns the spawned body). Non-spawned
-	// function literals are attributed to their defining function —
-	// deferred closures and callbacks overwhelmingly run in the caller,
-	// which is the conservative reading.
+// buildBlocking computes the module's blocking closure once. Direct
+// reasons and call edges skip everything under a go statement: the
+// spawn itself never blocks the spawner (goroutinelife owns the
+// spawned body). Non-spawned function literals are attributed to their
+// defining function — deferred closures and callbacks overwhelmingly
+// run in the caller, which is the conservative reading.
+func (ix *funcIndex) buildBlocking() {
+	ix.blocks = make(map[*types.Func]string)
+	ix.condMu = make(map[*types.Var]*types.Var)
 	calls := make(map[*types.Func][]*types.Func)
-	for _, fd := range bi.funcs {
-		fd := fd
-		scanBlocking(fd.p, fd.decl.Body, func(n ast.Node, what string) {
-			if bi.blocks[fd.fn] == "" {
-				bi.blocks[fd.fn] = what
+	for _, f := range ix.funcs {
+		scanBlocking(f.p, f.decl.Body, func(n ast.Node, what string) {
+			if ix.blocks[f.fn] == "" {
+				ix.blocks[f.fn] = what
 			}
 		}, func(call *ast.CallExpr) {
-			if callee := moduleCallee(fd.p, bi.pkgSet, call); callee != nil {
-				calls[fd.fn] = append(calls[fd.fn], callee)
+			if callee := resolveCallee(f.p, call, ix.inModule); callee != nil {
+				calls[f.fn] = append(calls[f.fn], callee)
 			}
 		})
-		bi.scanCondAssoc(fd.p, fd.decl.Body)
+		ix.scanCondAssoc(f.p, f.decl.Body)
 	}
-
-	// Transitive closure: a function that calls a may-block function
-	// may block.
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range bi.funcs {
-			if bi.blocks[fd.fn] != "" {
-				continue
-			}
-			for _, callee := range calls[fd.fn] {
-				if bi.blocks[callee] != "" {
-					bi.blocks[fd.fn] = fmt.Sprintf("calls %s, which may block", callee.Name())
-					changed = true
-					break
-				}
-			}
+	ix.fixpoint(calls, func(caller, callee *types.Func) bool {
+		if ix.blocks[caller] != "" || ix.blocks[callee] == "" {
+			return false
 		}
-	}
-	return bi
+		ix.blocks[caller] = fmt.Sprintf("calls %s, which may block", callee.Name())
+		return true
+	})
 }
 
 // scanBlocking walks body emitting every directly-blocking construct —
@@ -185,9 +93,7 @@ func scanBlocking(p *Package, body ast.Node, emit func(n ast.Node, what string),
 			if what := stdlibBlockingCall(p, x); what != "" {
 				emit(x, what)
 			}
-			if onCall != nil {
-				onCall(x)
-			}
+			onCall(x)
 		}
 		return true
 	})
@@ -209,17 +115,8 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 // is mixerlock's and lockorder's jurisdiction, and double-reporting it
 // here would drown the real waits.
 func stdlibBlockingCall(p *Package, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return ""
-	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := resolveCallee(p, call, nil)
+	if fn == nil {
 		return ""
 	}
 	switch path := fn.Pkg().Path(); {
@@ -258,7 +155,7 @@ func recvTypeName(fn *types.Func) string {
 // through any other shape (composite literal field, function return)
 // stays unassociated, and unassociated Waits are not reported — silence
 // over a false deadlock accusation.
-func (bi *blockInfo) scanCondAssoc(p *Package, body ast.Node) {
+func (ix *funcIndex) scanCondAssoc(p *Package, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != len(as.Rhs) {
@@ -269,12 +166,8 @@ func (bi *blockInfo) scanCondAssoc(p *Package, body ast.Node) {
 			if !ok {
 				continue
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "NewCond" {
-				continue
-			}
-			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" || len(call.Args) != 1 {
+			fn := resolveCallee(p, call, nil)
+			if fn == nil || fn.Pkg().Path() != "sync" || fn.Name() != "NewCond" || len(call.Args) != 1 {
 				continue
 			}
 			arg := call.Args[0]
@@ -284,257 +177,75 @@ func (bi *blockInfo) scanCondAssoc(p *Package, body ast.Node) {
 			mu := referencedVar(p, arg)
 			cond := referencedVar(p, as.Lhs[i])
 			if mu != nil && cond != nil {
-				bi.condMu[cond] = mu
+				ix.condMu[cond] = mu
 			}
 		}
 		return true
 	})
 }
 
-// checkBlockUnderLock is the module-wide no-blocking-under-a-mutex
-// check: while any sync.Mutex/RWMutex is held, no potentially-blocking
+// blockUnderLock is the module-wide no-blocking-under-a-mutex check:
+// while any sync.Mutex/RWMutex is held, no potentially-blocking
 // operation may run — a channel send or receive, a select without a
 // default case, sync.WaitGroup.Wait, time.Sleep, network I/O, a
 // Cond.Wait on a condition guarded by a *different* mutex, or a call
 // into the transitive mayBlock closure (AdmitWait and friends). A
 // holder parked on any of these stalls every contender for the mutex
 // for an unbounded time; under the paper's hard-deadline contract that
-// is a missed deadline waiting to happen. Read locks are tracked
-// separately from write locks (PR 5's RW distinction) and named in the
-// finding: blocking under an RLock stalls writers, under a Lock it
-// stalls everyone.
-//
-// The held-state walk mirrors lockorder's: source order, branch bodies
-// on cloned state, deferred releases held to function end, goroutine
-// bodies starting lock-free, function literals skipped (they run under
-// their eventual caller's locks). Not suppressible: there is no safe
-// amount of unbounded waiting inside a critical section.
-func checkBlockUnderLock(pkgs []*Package, bi *blockInfo) []finding {
-	var ds []finding
-	for _, fd := range bi.funcs {
-		w := &blockWalker{bi: bi, p: fd.p, owner: fd.fn}
-		w.stmts(fd.decl.Body.List, nil)
-		ds = append(ds, w.diags...)
+// is a missed deadline waiting to happen. The finding names the
+// first-acquired held mutex and its mode: blocking under an RLock
+// stalls writers, under a Lock it stalls everyone. Mutexes without a
+// variable identity are not tracked. Not suppressible: there is no
+// safe amount of unbounded waiting inside a critical section.
+type blockUnderLock struct {
+	ix *funcIndex
+	ds []finding
+}
+
+func (b *blockUnderLock) acquire(*heldWalk, *ast.CallExpr, heldLock) {}
+
+func (b *blockUnderLock) blocking(w *heldWalk, n ast.Node, what string) {
+	for _, h := range w.held {
+		if h.v != nil {
+			b.ds = append(b.ds, w.report(n, CheckBlockUnderLock, fmt.Sprintf(
+				"%s %s while holding %s (%s-locked); a parked holder stalls every contender for the mutex",
+				w.f.fn.Name(), what, h.path, h.mode())))
+			return
+		}
 	}
-	return ds
 }
 
-// blockWalker walks one function body in source order, threading the
-// held-lock list through statements and reporting blocking constructs
-// encountered while it is non-empty.
-type blockWalker struct {
-	bi    *blockInfo
-	p     *Package
-	owner *types.Func
-	diags []finding
-}
-
-// reportHeld emits a blockunderlock finding for construct n, naming the
-// first-acquired held mutex and its mode.
-func (w *blockWalker) reportHeld(n ast.Node, what string, held []heldLock) {
-	h := held[0]
-	mode := "write"
-	if !h.write {
-		mode = "read"
-	}
-	w.diags = append(w.diags, finding{d: Diagnostic{
-		Pos:   nodeLine(w.p.Fset, n),
-		Check: CheckBlockUnderLock,
-		Message: fmt.Sprintf("%s %s while holding %s (%s-locked); a parked holder stalls every contender for the mutex",
-			w.owner.Name(), what, h.path, mode),
-	}})
-}
-
-func (w *blockWalker) stmts(list []ast.Stmt, held []heldLock) []heldLock {
-	for _, s := range list {
-		held = w.stmt(s, held)
-	}
-	return held
-}
-
-func (w *blockWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		return w.expr(st.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.reportHeld(st, "sends on a channel", held)
-		}
-		held = w.expr(st.Chan, held)
-		return w.expr(st.Value, held)
-	case *ast.DeferStmt:
-		if op, _ := lockCallKind(w.p, st.Call); op == opNone {
-			// A deferred call runs at return, under whatever locks a
-			// deferred release has not yet dropped; treating it as
-			// running under the current held set is the conservative
-			// reading the other lock walkers use.
-			return w.expr(st.Call, held)
-		}
-		return held // deferred release: held to function end
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		held = w.expr(st.Cond, held)
-		w.stmts(st.Body.List, cloneHeld(held))
-		if st.Else != nil {
-			w.stmt(st.Else, cloneHeld(held))
-		}
-		return held
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			held = w.expr(st.Cond, held)
-		}
-		w.stmts(st.Body.List, cloneHeld(held))
-		return held
-	case *ast.RangeStmt:
-		if len(held) > 0 {
-			if tv, ok := w.p.Info.Types[st.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.reportHeld(st, "receives from a channel (range)", held)
-				}
-			}
-		}
-		held = w.expr(st.X, held)
-		w.stmts(st.Body.List, cloneHeld(held))
-		return held
-	case *ast.BlockStmt:
-		return w.stmts(st.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			held = w.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-		return held
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-		return held
-	case *ast.SelectStmt:
-		if len(held) > 0 && !selectHasDefault(st) {
-			w.reportHeld(st, "blocks in a select with no default case", held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-		return held
-	case *ast.GoStmt:
-		// The spawned goroutine runs lock-free; the spawn itself never
-		// blocks the spawner.
-		w.expr(st.Call.Fun, nil)
-		return held
-	}
-	return held
-}
-
-// expr processes lock transitions and blocking constructs inside one
-// expression, returning the updated held list.
-func (w *blockWalker) expr(e ast.Expr, held []heldLock) []heldLock {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false // runs under its eventual caller's locks, not ours
-		case *ast.UnaryExpr:
-			if x.Op.String() == "<-" && len(held) > 0 {
-				w.reportHeld(x, "receives from a channel", held)
-			}
-			return true
-		case *ast.CallExpr:
-			switch op, path := lockCallKind(w.p, x); op {
-			case opLock, opRLock:
-				if v := mutexVar(w.p, x); v != nil {
-					held = append(held, heldLock{v: v, path: path, write: op == opLock})
-				}
-				return false
-			case opUnlock, opRUnlock:
-				for i := len(held) - 1; i >= 0; i-- {
-					if held[i].path == path && held[i].write == (op == opUnlock) {
-						held = append(held[:i:i], held[i+1:]...)
-						break
-					}
-				}
-				return false
-			}
-			if len(held) == 0 {
-				return true
-			}
-			w.call(x, held)
-			return true
-		}
-		return true
-	})
-	return held
-}
-
-// call classifies one call made while locks are held: Cond.Wait with a
-// known guard association, a blocking stdlib call, or a module call in
-// the mayBlock closure.
-func (w *blockWalker) call(call *ast.CallExpr, held []heldLock) {
-	what := stdlibBlockingCall(w.p, call)
+// callHeld classifies one call made while locks are held: Cond.Wait
+// with a known guard association, a blocking stdlib call, or a module
+// call in the mayBlock closure.
+func (b *blockUnderLock) callHeld(w *heldWalk, call *ast.CallExpr) {
+	what := stdlibBlockingCall(w.f.p, call)
 	if what == "calls sync.Cond.Wait" {
 		// Cond.Wait atomically releases the cond's own mutex while
 		// parked, so waiting under that mutex is the intended pattern.
 		// Waiting while a *different* mutex is held keeps that one
-		// locked for the whole wait.
-		sel, _ := call.Fun.(*ast.SelectorExpr)
+		// locked for the whole wait. An unassociated cond stays silent
+		// rather than accuse.
 		var guard *types.Var
-		if sel != nil {
-			if cv := referencedVar(w.p, sel.X); cv != nil {
-				guard = w.bi.condMu[cv]
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			if cv := referencedVar(w.f.p, sel.X); cv != nil {
+				guard = b.ix.condMu[cv]
 			}
 		}
-		if guard == nil {
-			return // unassociated cond: stay silent rather than accuse
-		}
-		for _, h := range held {
-			if h.v != guard {
-				mode := "write"
-				if !h.write {
-					mode = "read"
-				}
-				w.diags = append(w.diags, finding{d: Diagnostic{
-					Pos:   nodeLine(w.p.Fset, call),
-					Check: CheckBlockUnderLock,
-					Message: fmt.Sprintf("%s calls Cond.Wait (guarded by %s) while holding %s (%s-locked); the wait never releases %s",
-						w.owner.Name(), guard.Name(), h.path, mode, h.path),
-				}})
+		for _, h := range w.held {
+			if guard != nil && h.v != nil && h.v != guard {
+				b.ds = append(b.ds, w.report(call, CheckBlockUnderLock, fmt.Sprintf(
+					"%s calls Cond.Wait (guarded by %s) while holding %s (%s-locked); the wait never releases %s",
+					w.f.fn.Name(), guard.Name(), h.path, h.mode(), h.path)))
 				return
 			}
 		}
 		return
 	}
-	if what != "" {
-		w.reportHeld(call, what, held)
-		return
+	if callee := resolveCallee(w.f.p, call, b.ix.inModule); what == "" && callee != nil && b.ix.blocks[callee] != "" {
+		what = fmt.Sprintf("calls %s, which may block (%s)", callee.Name(), b.ix.blocks[callee])
 	}
-	if callee := moduleCallee(w.p, w.bi.pkgSet, call); callee != nil {
-		if reason := w.bi.blocks[callee]; reason != "" {
-			w.reportHeld(call, fmt.Sprintf("calls %s, which may block (%s)", callee.Name(), reason), held)
-		}
+	if what != "" {
+		b.blocking(w, call, what)
 	}
 }

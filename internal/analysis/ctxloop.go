@@ -25,13 +25,12 @@ import (
 // their consultations belong to their own spawn site (goroutinelife's
 // jurisdiction). Not suppressible: a loop that waits without watching
 // its context has no safe justification under cancellation.
-func checkCtxLoop(pkgs []*Package, bi *blockInfo) []finding {
+func checkCtxLoop(ix *funcIndex) []finding {
 	var ds []finding
-	for _, fd := range bi.funcs {
+	for _, fd := range ix.funcs {
 		if !hasContextParam(fd.fn) {
 			continue
 		}
-		fd := fd
 		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 			if _, ok := n.(*ast.GoStmt); ok {
 				return false
@@ -43,7 +42,7 @@ func checkCtxLoop(pkgs []*Package, bi *blockInfo) []finding {
 			default:
 				return true
 			}
-			reason := loopBlockReason(fd.p, bi, loop)
+			reason := loopBlockReason(fd.p, ix, loop)
 			if reason == "" || loopConsultsCtx(fd.p, loop) {
 				return true
 			}
@@ -86,7 +85,7 @@ func isContextType(t types.Type) bool {
 // loopBlockReason returns the first reason the loop's subtree may wait
 // ("" if it provably cannot): a direct blocking construct, or a call to
 // a function in the module's mayBlock closure.
-func loopBlockReason(p *Package, bi *blockInfo, loop ast.Node) string {
+func loopBlockReason(p *Package, ix *funcIndex, loop ast.Node) string {
 	reason := ""
 	scanBlocking(p, loop, func(n ast.Node, what string) {
 		if reason == "" {
@@ -96,8 +95,8 @@ func loopBlockReason(p *Package, bi *blockInfo, loop ast.Node) string {
 		if reason != "" {
 			return
 		}
-		if callee := moduleCallee(p, bi.pkgSet, call); callee != nil {
-			if why := bi.blocks[callee]; why != "" {
+		if callee := resolveCallee(p, call, ix.inModule); callee != nil {
+			if why := ix.blocks[callee]; why != "" {
 				reason = fmt.Sprintf("calls %s, which may block (%s)", callee.Name(), why)
 			}
 		}

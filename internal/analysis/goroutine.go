@@ -35,17 +35,16 @@ import (
 // dies with main) are a legitimate design, but one that must be argued,
 // not silent. Test files never reach this check: LoadModule skips
 // _test.go.
-func checkGoroutineLife(pkgs []*Package, bi *blockInfo) []finding {
+func checkGoroutineLife(ix *funcIndex) []finding {
 	var ds []finding
-	for _, fd := range bi.funcs {
-		fd := fd
+	for _, fd := range ix.funcs {
 		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
 			pos := nodeLine(fd.p.Fset, g)
-			body, desc := goBody(fd.p, bi, g)
+			body, desc := goBody(fd.p, ix, g)
 			if body == nil {
 				ds = append(ds, goFinding(pos, fmt.Sprintf(
 					"goroutine body (%s) is not statically resolvable, so no termination signal can be proved", desc)))
@@ -75,12 +74,12 @@ func goFinding(pos token.Position, msg string) finding {
 // goBody resolves the body a go statement runs: a function literal's
 // own body, or the declaration of a module function named directly.
 // Returns nil (with a description of the shape) when neither applies.
-func goBody(p *Package, bi *blockInfo, g *ast.GoStmt) (*ast.BlockStmt, string) {
+func goBody(p *Package, ix *funcIndex, g *ast.GoStmt) (*ast.BlockStmt, string) {
 	if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
 		return lit.Body, "func literal"
 	}
-	if callee := moduleCallee(p, bi.pkgSet, g.Call); callee != nil {
-		if mf := bi.byObj[callee]; mf != nil {
+	if callee := resolveCallee(p, g.Call, ix.inModule); callee != nil {
+		if mf := ix.byObj[callee]; mf != nil {
 			return mf.decl.Body, callee.Name()
 		}
 		return nil, callee.Name() + " has no body in this module"

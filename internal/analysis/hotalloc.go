@@ -45,63 +45,20 @@ const hotpathMarker = "qos:hotpath"
 // static callee, so the walk stops there. That is why both
 // LevelSelector implementations are roots themselves rather than being
 // reached through Controller.Next's selector field.
-func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
-	mod := make(map[*types.Package]bool, len(pkgs))
-	for _, p := range pkgs {
-		mod[p.Pkg] = true
-	}
-
-	type fnDecl struct {
-		p    *Package
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var funcs []fnDecl
-	byObj := make(map[*types.Func]int)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					byObj[fn] = len(funcs)
-					funcs = append(funcs, fnDecl{p, fn, fd})
-				}
-			}
-		}
-	}
-
-	// Static call edges, in source order, with positions (for alloc-ok
-	// edge pruning).
+func checkHotAlloc(ix *funcIndex, ann *annotations) []finding {
+	// Static call edges to declared module functions, in source order,
+	// with positions (for alloc-ok edge pruning).
 	type edge struct {
-		callee *types.Func
+		callee *funcInfo
 		pos    token.Position
 	}
-	edges := make([][]edge, len(funcs))
-	for i, fd := range funcs {
-		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	edges := make(map[*funcInfo][]edge, len(ix.funcs))
+	for _, f := range ix.funcs {
+		for _, call := range f.calls {
+			if callee := ix.byObj[resolveCallee(f.p, call, ix.inModule)]; callee != nil {
+				edges[f] = append(edges[f], edge{callee, nodeLine(f.p.Fset, call)})
 			}
-			var id *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			default:
-				return true
-			}
-			if fn, ok := fd.p.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && mod[fn.Pkg()] {
-				if _, declared := byObj[fn]; declared {
-					edges[i] = append(edges[i], edge{fn, nodeLine(fd.p.Fset, call)})
-				}
-			}
-			return true
-		})
+		}
 	}
 
 	// occupied marks lines that carry a module call or an allocating
@@ -117,12 +74,12 @@ func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
 		}
 		m[pos.Line] = true
 	}
-	for i, fd := range funcs {
-		for _, e := range edges[i] {
+	for _, f := range ix.funcs {
+		for _, e := range edges[f] {
 			occupy(e.pos)
 		}
-		for _, f := range scanAllocs(fd.p, fd.decl.Body, "") {
-			occupy(f.d.Pos)
+		for _, a := range scanAllocs(f.p, f.decl.Body, "") {
+			occupy(a.d.Pos)
 		}
 	}
 	justified := func(pos token.Position) bool {
@@ -139,18 +96,18 @@ func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
 
 	// Roots, then BFS. reachedFrom records the first root that reached
 	// each function, for the messages.
-	reachedFrom := make(map[*types.Func]string)
-	var queue []int
-	for i, fd := range funcs {
-		if hasHotpathMarker(fd.decl.Doc) {
-			reachedFrom[fd.fn] = funcDisplayName(fd.fn)
-			queue = append(queue, i)
+	reachedFrom := make(map[*funcInfo]string)
+	var queue []*funcInfo
+	for _, f := range ix.funcs {
+		if hasHotpathMarker(f.decl.Doc) {
+			reachedFrom[f] = funcDisplayName(f.fn)
+			queue = append(queue, f)
 		}
 	}
 	for len(queue) > 0 {
-		i := queue[0]
+		f := queue[0]
 		queue = queue[1:]
-		for _, e := range edges[i] {
+		for _, e := range edges[f] {
 			// A justified edge is pruned even when the callee is reachable
 			// elsewhere: the annotation owns this call site.
 			if justified(e.pos) {
@@ -159,18 +116,16 @@ func checkHotAlloc(pkgs []*Package, ann *annotations) []finding {
 			if _, ok := reachedFrom[e.callee]; ok {
 				continue
 			}
-			reachedFrom[e.callee] = reachedFrom[funcs[i].fn]
-			queue = append(queue, byObj[e.callee])
+			reachedFrom[e.callee] = reachedFrom[f]
+			queue = append(queue, e.callee)
 		}
 	}
 
 	var ds []finding
-	for _, fd := range funcs {
-		root, hot := reachedFrom[fd.fn]
-		if !hot {
-			continue
+	for _, f := range ix.funcs {
+		if root, hot := reachedFrom[f]; hot {
+			ds = append(ds, scanAllocs(f.p, f.decl.Body, root)...)
 		}
-		ds = append(ds, scanAllocs(fd.p, fd.decl.Body, root)...)
 	}
 	return ds
 }

@@ -3,110 +3,45 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// checkMixerLock is the intra-package lock-discipline check: no
-// function may call — directly or transitively through same-package
-// helpers — a function that acquires a sync.Mutex/RWMutex field while
-// the caller already holds one. The shared-budget mixer enforces this
-// only by comment discipline ("callers hold b.mu"); this makes the
-// discipline mechanical. Re-locking a mutex already held in the same
-// function is reported too, with read locks (RLock) tracked as a
-// distinct acquire kind from write locks: a recursive RLock deadlocks
-// as soon as a writer queues between the two, and an RLock taken while
-// the write lock is held never returns, so both are reported here.
-// The remaining cross-kind hazard — upgrading RLock to Lock on the
-// same mutex — is the lockorder check's job.
-//
-// The analysis is deliberately intra-procedural about lock state: a
-// sequential walk of each body tracks Lock/Unlock on mutex-typed
-// selector paths (a deferred Unlock holds to function end; branch
-// bodies are scanned with a copy of the state). It is conservative
-// about identity — while any mutex is held, calling any same-package
-// function that may acquire any mutex is reported — which is exact for
-// single-mutex packages like the mixer and errs on the loud side
-// elsewhere.
-func checkMixerLock(p *Package) []finding {
-	funcs := packageFuncs(p)
-	if len(funcs) == 0 {
-		return nil
-	}
+// This file holds the held-lock engine behind the three lock checks —
+// mixerlock (below), lockorder (lockorder.go) and blockunderlock
+// (block.go). One walk per function tracks which mutexes are held, in
+// source order: a deferred release holds to function end, branch and
+// case bodies are walked on a copy of the held set (a branch's lock
+// state does not leak past it, so the common Lock-then-branch-Unlock-
+// return shape keeps the outer lock held, the conservative reading),
+// goroutine bodies and function literals are not walked under the
+// caller's locks (a literal runs under its eventual caller's locks),
+// but a go statement's function value and arguments are, since the
+// spawner evaluates them. Each check is a lockVisitor the walk calls
+// at every event.
 
-	// Direct acquisitions and the same-package static call graph.
-	acquires := make(map[*types.Func]bool)
-	calls := make(map[*types.Func]map[*types.Func]bool)
-	for fn, decl := range funcs {
-		if decl.Body == nil {
-			continue
-		}
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, _ := lockCallKind(p, call); op == opLock || op == opRLock {
-				acquires[fn] = true
-			}
-			if callee := staticCallee(p, call); callee != nil {
-				m := calls[fn]
-				if m == nil {
-					m = make(map[*types.Func]bool)
-					calls[fn] = m
-				}
-				m[callee] = true
-			}
-			return true
-		})
-	}
-
-	// mayAcquire: transitive closure over the call graph.
-	mayAcquire := make(map[*types.Func]bool, len(acquires))
-	for fn := range acquires {
-		mayAcquire[fn] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, callees := range calls {
-			if mayAcquire[fn] {
-				continue
-			}
-			for callee := range callees {
-				if mayAcquire[callee] {
-					mayAcquire[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-
-	var ds []finding
-	for fn, decl := range funcs {
-		if decl.Body == nil {
-			continue
-		}
-		w := &lockWalker{p: p, funcs: funcs, mayAcquire: mayAcquire, owner: fn}
-		w.stmts(decl.Body.List, map[string]uint8{})
-		ds = append(ds, w.diags...)
-	}
-	return ds
+// lockVisitor receives the held-lock walk's events for one function.
+type lockVisitor interface {
+	// acquire sees a Lock or RLock call before h joins w.held.
+	acquire(w *heldWalk, call *ast.CallExpr, h heldLock)
+	// blocking sees a channel send or receive, a select with no
+	// default case, or a range over a channel while w.held is
+	// non-empty.
+	blocking(w *heldWalk, n ast.Node, what string)
+	// callHeld sees every other call made while w.held is non-empty.
+	callHeld(w *heldWalk, call *ast.CallExpr)
 }
 
-// packageFuncs maps the package's function objects to their
-// declarations.
-func packageFuncs(p *Package) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fd
-				}
-			}
-		}
+// checkLocks runs mixerlock, lockorder and blockunderlock as visitors
+// of one held-lock walk per function.
+func checkLocks(ix *funcIndex) []finding {
+	ml, lo, bu := newMixerLock(ix), newLockOrder(ix), &blockUnderLock{ix: ix}
+	visitors := []lockVisitor{ml, lo, bu}
+	for _, f := range ix.funcs {
+		w := &heldWalk{f: f, visitors: visitors}
+		w.stmt(f.decl.Body)
 	}
-	return out
+	return append(append(ml.ds, lo.findings()...), bu.ds...)
 }
 
 // lockOp is the exact lock operation of a call: write and read
@@ -119,12 +54,6 @@ const (
 	opRLock
 	opUnlock
 	opRUnlock
-)
-
-// Held-state bits per mutex path.
-const (
-	heldWrite uint8 = 1 << iota
-	heldRead
 )
 
 // lockCallKind classifies call as one of Lock/RLock/Unlock/RUnlock on a
@@ -186,189 +115,263 @@ func exprPath(e ast.Expr) string {
 	return "<expr>"
 }
 
-// staticCallee resolves a call to a function or method declared in this
-// package.
-func staticCallee(p *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
+// heldLock is one entry of the walk's held set: the mutex identity
+// (the struct field or variable; nil when the receiver is something
+// exotic, like a map element or a call result), the textual path it
+// was acquired through, and the mode.
+type heldLock struct {
+	v     *types.Var
+	path  string
+	write bool
+}
+
+func (h heldLock) mode() string {
+	if h.write {
+		return "write"
+	}
+	return "read"
+}
+
+// mutexVar resolves the variable identity of the mutex a lock call
+// operates on, or nil.
+func mutexVar(p *Package, call *ast.CallExpr) *types.Var {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return nil
 	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg() != p.Pkg {
-		return nil
-	}
-	return fn
+	return referencedVar(p, sel.X)
 }
 
-// lockWalker scans one function body in source order, tracking which
-// mutex paths are held and in what mode (write, read, or both).
-type lockWalker struct {
-	p          *Package
-	funcs      map[*types.Func]*ast.FuncDecl
-	mayAcquire map[*types.Func]bool
-	owner      *types.Func
-	diags      []finding
+// heldWalk walks one function body, keeping the held set in held.
+type heldWalk struct {
+	f        *funcInfo
+	held     []heldLock
+	visitors []lockVisitor
 }
 
-func copyHeld(held map[string]uint8) map[string]uint8 {
-	c := make(map[string]uint8, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func (w *lockWalker) stmts(list []ast.Stmt, held map[string]uint8) {
+func (w *heldWalk) stmts(list []ast.Stmt) {
 	for _, s := range list {
-		w.stmt(s, held)
+		w.stmt(s)
 	}
 }
 
-// stmt updates held in place for lock operations at this nesting level
-// and scans nested blocks with a copy (a branch's lock state does not
-// leak past it; the common Lock-then-branch-Unlock-return pattern keeps
-// the outer state held, which is the conservative reading).
-func (w *lockWalker) stmt(s ast.Stmt, held map[string]uint8) {
+// scoped walks s on a copy of the held set.
+func (w *heldWalk) scoped(s ast.Stmt) {
+	saved := w.held
+	w.held = append([]heldLock(nil), saved...)
+	w.stmt(s)
+	w.held = saved
+}
+
+func (w *heldWalk) stmt(s ast.Stmt) {
 	switch st := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(st.X, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock releases only at return: the lock stays held
-		// for the rest of the body, i.e. no state change. A deferred call
-		// into an acquiring helper runs while any still-held lock is
-		// held.
-		if op, _ := lockCallKind(w.p, st.Call); op == opNone {
-			w.expr(st.Call, held)
-		}
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.expr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		w.expr(st.Cond, held)
-		w.stmts(st.Body.List, copyHeld(held))
-		if st.Else != nil {
-			w.stmt(st.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			w.expr(st.Cond, held)
-		}
-		w.stmts(st.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		w.expr(st.X, held)
-		w.stmts(st.Body.List, copyHeld(held))
+	case nil:
 	case *ast.BlockStmt:
-		w.stmts(st.List, held)
+		w.stmts(st.List)
+	case *ast.LabeledStmt:
+		w.stmt(st.Stmt)
+	case *ast.IfStmt:
+		w.stmt(st.Init)
+		w.expr(st.Cond)
+		w.scoped(st.Body)
+		w.scoped(st.Else)
+	case *ast.ForStmt:
+		w.stmt(st.Init)
+		w.expr(st.Cond)
+		w.scoped(st.Body)
+	case *ast.RangeStmt:
+		if tv, ok := w.f.p.Info.Types[st.X]; ok {
+			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+				w.blocking(st, "receives from a channel (range)")
+			}
+		}
+		w.expr(st.X)
+		w.scoped(st.Body)
 	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			w.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
+		w.stmt(st.Init)
+		w.expr(st.Tag)
+		w.clauses(st.Body)
 	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
-		}
+		w.stmt(st.Init)
+		w.stmt(st.Assign)
+		w.clauses(st.Body)
 	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, copyHeld(held))
-			}
+		if !selectHasDefault(st) {
+			w.blocking(st, "blocks in a select with no default case")
 		}
+		w.clauses(st.Body)
+	case *ast.CaseClause:
+		for _, e := range st.List {
+			w.expr(e)
+		}
+		w.stmts(st.Body)
+	case *ast.CommClause:
+		// The communication itself is the select's: reported there when
+		// the select can block, and non-blocking under a default case.
+		w.stmts(st.Body)
 	case *ast.GoStmt:
-		// A spawned goroutine does not run under the caller's locks.
-		w.expr(st.Call.Fun, map[string]uint8{})
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt,
-		*ast.LabeledStmt, *ast.SendStmt:
-		// No lock-relevant structure beyond nested expressions; keep the
-		// walk simple.
+		// The spawner evaluates the function value and the arguments;
+		// the call itself runs on the new goroutine, lock-free.
+		w.expr(st.Call.Fun)
+		for _, arg := range st.Call.Args {
+			w.expr(arg)
+		}
+	case *ast.DeferStmt:
+		// A deferred release holds the lock to function end: no state
+		// change. Any other deferred call is treated as running under
+		// the current held set, the conservative reading.
+		if op, _ := lockCallKind(w.f.p, st.Call); op == opNone {
+			w.expr(st.Call)
+		}
+	case *ast.SendStmt:
+		w.blocking(st, "sends on a channel")
+		w.expr(st)
+	default: // expression, assignment, declaration, inc/dec, return, branch
+		w.expr(st)
 	}
 }
 
-// expr handles lock transitions and call checks inside one expression.
-func (w *lockWalker) expr(e ast.Expr, held map[string]uint8) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // literals run later, under their caller's locks, not ours
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch op, path := lockCallKind(w.p, call); op {
-		case opLock:
-			if held[path]&heldWrite != 0 {
-				w.report(call, fmt.Sprintf("%s locks %s, which it already holds", w.owner.Name(), path))
-			}
-			held[path] |= heldWrite
+func (w *heldWalk) clauses(body *ast.BlockStmt) {
+	for _, c := range body.List {
+		w.scoped(c)
+	}
+}
+
+// expr applies the lock transitions and raises the events inside one
+// expression (or simple statement), in evaluation order.
+func (w *heldWalk) expr(n ast.Node) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
 			return false
-		case opRLock:
-			switch {
-			case held[path]&heldWrite != 0:
-				w.report(call, fmt.Sprintf("%s read-locks %s while write-holding it; RWMutex is not reentrant", w.owner.Name(), path))
-			case held[path]&heldRead != 0:
-				w.report(call, fmt.Sprintf("%s read-locks %s, which it already read-holds; a writer queued between the two RLocks deadlocks", w.owner.Name(), path))
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				w.blocking(x, "receives from a channel")
 			}
-			held[path] |= heldRead
-			return false
-		case opUnlock:
-			if held[path] &^= heldWrite; held[path] == 0 {
-				delete(held, path)
+		case *ast.CallExpr:
+			switch op, path := lockCallKind(w.f.p, x); op {
+			case opLock, opRLock:
+				h := heldLock{v: mutexVar(w.f.p, x), path: path, write: op == opLock}
+				for _, v := range w.visitors {
+					v.acquire(w, x, h)
+				}
+				w.held = append(w.held, h)
+				return false
+			case opUnlock, opRUnlock:
+				for i := len(w.held) - 1; i >= 0; i-- {
+					if w.held[i].path == path && w.held[i].write == (op == opUnlock) {
+						w.held = append(w.held[:i:i], w.held[i+1:]...)
+						break
+					}
+				}
+				return false
 			}
-			return false
-		case opRUnlock:
-			if held[path] &^= heldRead; held[path] == 0 {
-				delete(held, path)
+			if len(w.held) > 0 {
+				for _, v := range w.visitors {
+					v.callHeld(w, x)
+				}
 			}
-			return false
-		}
-		if len(held) == 0 {
-			return true
-		}
-		if callee := staticCallee(w.p, call); callee != nil && w.mayAcquire[callee] {
-			w.report(call, fmt.Sprintf("%s calls %s while holding %s; %s acquires a mutex — potential self-deadlock",
-				w.owner.Name(), callee.Name(), heldNames(held), callee.Name()))
 		}
 		return true
 	})
 }
 
-func heldNames(held map[string]uint8) string {
-	// Deterministic smallest key; one mutex is the overwhelmingly common
-	// case.
-	best := ""
-	for k := range held {
-		if best == "" || k < best {
-			best = k
+func (w *heldWalk) blocking(n ast.Node, what string) {
+	if len(w.held) > 0 {
+		for _, v := range w.visitors {
+			v.blocking(w, n, what)
 		}
 	}
-	return best
 }
 
-func (w *lockWalker) report(n ast.Node, msg string) {
-	w.diags = append(w.diags, finding{d: Diagnostic{Pos: nodeLine(w.p.Fset, n), Check: CheckMixerLock, Message: msg}})
+// report builds a non-suppressible finding at n in the walked function.
+func (w *heldWalk) report(n ast.Node, check, msg string) finding {
+	return finding{d: Diagnostic{Pos: nodeLine(w.f.p.Fset, n), Check: check, Message: msg}}
+}
+
+// mixerLock is the intra-package lock-discipline check: no function
+// may call — directly or transitively through same-package helpers — a
+// function that acquires a sync.Mutex/RWMutex while the caller already
+// holds one. The shared-budget mixer enforces this only by comment
+// discipline ("callers hold b.mu"); this makes the discipline
+// mechanical. Re-locking a mutex already held in the same function is
+// reported too, with read locks (RLock) tracked as a distinct acquire
+// kind from write locks: a recursive RLock deadlocks as soon as a
+// writer queues between the two, and an RLock taken while the write
+// lock is held never returns. The remaining cross-kind hazard —
+// upgrading RLock to Lock on the same mutex — is lockorder's job.
+//
+// It is deliberately conservative about identity: while any mutex is
+// held, calling any same-package function that may acquire any mutex
+// is reported, which is exact for single-mutex packages like the mixer
+// and errs on the loud side elsewhere.
+type mixerLock struct {
+	may map[*types.Func]bool // same-package may-acquire closure
+	ds  []finding
+}
+
+func newMixerLock(ix *funcIndex) *mixerLock {
+	m := &mixerLock{may: make(map[*types.Func]bool)}
+	calls := make(map[*types.Func][]*types.Func)
+	for _, f := range ix.funcs {
+		for _, call := range f.calls {
+			if op, _ := lockCallKind(f.p, call); op == opLock || op == opRLock {
+				m.may[f.fn] = true
+			}
+			if callee := resolveCallee(f.p, call, f.p.owns); callee != nil {
+				calls[f.fn] = append(calls[f.fn], callee)
+			}
+		}
+	}
+	ix.fixpoint(calls, func(caller, callee *types.Func) bool {
+		if m.may[caller] || !m.may[callee] {
+			return false
+		}
+		m.may[caller] = true
+		return true
+	})
+	return m
+}
+
+func (m *mixerLock) acquire(w *heldWalk, call *ast.CallExpr, h heldLock) {
+	var write, read bool
+	for _, o := range w.held {
+		if o.path == h.path {
+			write, read = write || o.write, read || !o.write
+		}
+	}
+	owner := w.f.fn.Name()
+	var msg string
+	switch {
+	case write && h.write:
+		msg = fmt.Sprintf("%s locks %s, which it already holds", owner, h.path)
+	case write:
+		msg = fmt.Sprintf("%s read-locks %s while write-holding it; RWMutex is not reentrant", owner, h.path)
+	case read && !h.write:
+		msg = fmt.Sprintf("%s read-locks %s, which it already read-holds; a writer queued between the two RLocks deadlocks", owner, h.path)
+	default:
+		return
+	}
+	m.ds = append(m.ds, w.report(call, CheckMixerLock, msg))
+}
+
+func (m *mixerLock) blocking(*heldWalk, ast.Node, string) {}
+
+func (m *mixerLock) callHeld(w *heldWalk, call *ast.CallExpr) {
+	callee := resolveCallee(w.f.p, call, w.f.p.owns)
+	if callee == nil || !m.may[callee] {
+		return
+	}
+	// Name the smallest held path, deterministically; one mutex is the
+	// overwhelmingly common case.
+	held := w.held[0].path
+	for _, o := range w.held[1:] {
+		held = min(held, o.path)
+	}
+	m.ds = append(m.ds, w.report(call, CheckMixerLock, fmt.Sprintf(
+		"%s calls %s while holding %s; %s acquires a mutex — potential self-deadlock",
+		w.f.fn.Name(), callee.Name(), held, callee.Name())))
 }

@@ -7,13 +7,13 @@ import (
 	"go/types"
 )
 
-// checkLockOrder generalizes mixerlock's intra-package self-deadlock
-// walk into a module-wide lock-acquisition-order discipline. Mutex
+// lockOrder is the module-wide lock-acquisition-order check. Mutex
 // identity is the declared variable (a struct field like Budget.mu, or
 // a package-level var), so two instances of the same field are one
 // node; edges A→B record "B was acquired while A was held", whether the
 // acquisition is textual or hidden behind a (transitively resolved)
-// static call. Two findings come out of the graph:
+// static call anywhere in the module. Two findings come out of the
+// graph:
 //
 //   - cycles: an edge that participates in a cycle (A→B and, somewhere
 //     else in the module, B→A) is the ABBA deadlock — two goroutines
@@ -25,450 +25,174 @@ import (
 //     path already holds, directly or through a helper. The Lock waits
 //     for all readers — including the caller — so it never returns.
 //
-// The held-state walk mirrors mixerlock's: source order, branch bodies
-// on copied state, deferred releases held to function end, goroutines
-// starting lock-free, function literals skipped (they run under their
-// eventual caller's locks). The call-graph closure is module-wide, so
-// the coming sharded mixer's per-shard + epoch locking is checked
-// across package boundaries.
-//
-// Not suppressible: a lock cycle has no safe justification.
-func checkLockOrder(pkgs []*Package) []finding {
-	g := &lockOrderGraph{
-		pkgSet: make(map[*types.Package]bool, len(pkgs)),
-		may:    make(map[*types.Func]map[*types.Var]uint8),
-		calls:  make(map[*types.Func][]*types.Func),
-		pathOf: make(map[*types.Var]string),
-		edges:  make(map[[2]*types.Var]*lockEdge),
-	}
-	for _, p := range pkgs {
-		g.pkgSet[p.Pkg] = true
-	}
-
-	// Ordered function list (map iteration would make edge positions and
-	// fixpoint results nondeterministic).
-	type fnDecl struct {
-		p    *Package
-		fn   *types.Func
-		decl *ast.FuncDecl
-	}
-	var funcs []fnDecl
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					funcs = append(funcs, fnDecl{p, fn, fd})
-				}
-			}
-		}
-	}
-
-	// Direct acquisitions (function literals included: a callback that
-	// locks is attributed to its defining function — conservative) and
-	// the module-wide static call graph.
-	for _, fd := range funcs {
-		ast.Inspect(fd.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if op, path := lockCallKind(fd.p, call); op == opLock || op == opRLock {
-				if v := mutexVar(fd.p, call); v != nil {
-					m := g.may[fd.fn]
-					if m == nil {
-						m = make(map[*types.Var]uint8)
-						g.may[fd.fn] = m
-					}
-					if op == opLock {
-						m[v] |= heldWrite
-					} else {
-						m[v] |= heldRead
-					}
-					if _, ok := g.pathOf[v]; !ok {
-						g.pathOf[v] = path
-					}
-				}
-			}
-			if callee := g.staticCallee(fd.p, call); callee != nil {
-				g.calls[fd.fn] = append(g.calls[fd.fn], callee)
-			}
-			return true
-		})
-	}
-
-	// mayAcquire fixpoint over the call graph.
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range funcs {
-			for _, callee := range g.calls[fd.fn] {
-				for v, bits := range g.may[callee] {
-					m := g.may[fd.fn]
-					if m == nil {
-						m = make(map[*types.Var]uint8)
-						g.may[fd.fn] = m
-					}
-					if m[v]&bits != bits {
-						m[v] |= bits
-						changed = true
-					}
-				}
-			}
-		}
-	}
-
-	// Held-state walk per function, recording edges and upgrades.
-	for _, fd := range funcs {
-		w := &orderWalker{g: g, p: fd.p, owner: fd.fn}
-		w.stmts(fd.decl.Body.List, nil)
-	}
-
-	// Cycle detection: an edge whose endpoints sit in one strongly
-	// connected component (or a self-edge) is part of a cycle.
-	ds := g.upgrades
-	scc := g.condense()
-	for _, e := range g.orderedEdges() {
-		if e.from == e.to {
-			ds = append(ds, finding{d: Diagnostic{Pos: e.pos, Check: CheckLockOrder, Message: fmt.Sprintf(
-				"two instances of one mutex nest (%s acquired while %s is held); concurrent callers locking the instances in the opposite order deadlock",
-				e.toPath, e.fromPath)}})
-			continue
-		}
-		if scc[e.from] == scc[e.to] {
-			ds = append(ds, finding{d: Diagnostic{Pos: e.pos, Check: CheckLockOrder, Message: fmt.Sprintf(
-				"lock order cycle: %s acquired while %s is held, but another path acquires them in the reverse order — ABBA deadlock",
-				e.toPath, e.fromPath)}})
-		}
-	}
-	return ds
+// Re-acquiring a held mutex through the same path is mixerlock's
+// double lock, not an edge. Not suppressible: a lock cycle has no safe
+// justification.
+type lockOrder struct {
+	ix *funcIndex
+	// may maps a function to the mutexes it may acquire, directly or
+	// through module callees, with the acquire modes (heldWrite,
+	// heldRead). Function literals count toward their defining
+	// function: a callback that locks is attributed to it, the
+	// conservative reading.
+	may    map[*types.Func]map[*types.Var]uint8
+	pathOf map[*types.Var]string // first path each mutex was locked through
+	edges  []*lockEdge           // in discovery order
+	seen   map[[2]*types.Var]bool
+	ds     []finding // upgrades
 }
+
+// Acquire-mode bits of lockOrder.may.
+const (
+	heldWrite uint8 = 1 << iota
+	heldRead
+)
 
 type lockEdge struct {
 	from, to         *types.Var
 	fromPath, toPath string
 	pos              token.Position
-	seq              int // discovery order, for deterministic iteration
 }
 
-type lockOrderGraph struct {
-	pkgSet   map[*types.Package]bool
-	may      map[*types.Func]map[*types.Var]uint8
-	calls    map[*types.Func][]*types.Func
-	pathOf   map[*types.Var]string
-	edges    map[[2]*types.Var]*lockEdge
-	seq      int
-	upgrades []finding
-}
-
-// staticCallee resolves a call to any function or method declared in
-// the module (mixerlock's same-package resolution, widened).
-func (g *lockOrderGraph) staticCallee(p *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
+func newLockOrder(ix *funcIndex) *lockOrder {
+	lo := &lockOrder{
+		ix:     ix,
+		may:    make(map[*types.Func]map[*types.Var]uint8),
+		pathOf: make(map[*types.Var]string),
+		seen:   make(map[[2]*types.Var]bool),
 	}
-	fn, ok := p.Info.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil || !g.pkgSet[fn.Pkg()] {
-		return nil
+	calls := make(map[*types.Func][]*types.Func)
+	for _, f := range ix.funcs {
+		for _, call := range f.calls {
+			if op, path := lockCallKind(f.p, call); op == opLock || op == opRLock {
+				if v := mutexVar(f.p, call); v != nil {
+					bits := heldRead
+					if op == opLock {
+						bits = heldWrite
+					}
+					lo.addMay(f.fn, v, bits)
+					if _, ok := lo.pathOf[v]; !ok {
+						lo.pathOf[v] = path
+					}
+				}
+			}
+			if callee := resolveCallee(f.p, call, ix.inModule); callee != nil {
+				calls[f.fn] = append(calls[f.fn], callee)
+			}
+		}
 	}
-	return fn
+	ix.fixpoint(calls, func(caller, callee *types.Func) bool {
+		changed := false
+		for v, bits := range lo.may[callee] {
+			changed = lo.addMay(caller, v, bits) || changed
+		}
+		return changed
+	})
+	return lo
 }
 
-// mutexVar resolves the variable identity of the mutex a
-// Lock/RLock/Unlock/RUnlock call operates on: the struct field or the
-// (package-level or local) var. nil when the receiver is something
-// exotic (an element of a map, a call result).
-func mutexVar(p *Package, call *ast.CallExpr) *types.Var {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
+// addMay records that fn may acquire v in the given modes and reports
+// whether that is new.
+func (lo *lockOrder) addMay(fn *types.Func, v *types.Var, bits uint8) bool {
+	m := lo.may[fn]
+	if m == nil {
+		m = make(map[*types.Var]uint8)
+		lo.may[fn] = m
 	}
-	return referencedVar(p, sel.X)
+	if m[v]&bits == bits {
+		return false
+	}
+	m[v] |= bits
+	return true
 }
 
-func (g *lockOrderGraph) addEdge(from, to *types.Var, fromPath, toPath string, pos token.Position) {
-	key := [2]*types.Var{from, to}
-	if _, ok := g.edges[key]; ok {
+func (lo *lockOrder) addEdge(from, to heldLock, pos token.Position) {
+	if key := [2]*types.Var{from.v, to.v}; !lo.seen[key] {
+		lo.seen[key] = true
+		lo.edges = append(lo.edges, &lockEdge{from.v, to.v, from.path, to.path, pos})
+	}
+}
+
+func (lo *lockOrder) acquire(w *heldWalk, call *ast.CallExpr, h heldLock) {
+	if h.v == nil {
 		return
 	}
-	g.seq++
-	g.edges[key] = &lockEdge{from: from, to: to, fromPath: fromPath, toPath: toPath, pos: pos, seq: g.seq}
-}
-
-func (g *lockOrderGraph) orderedEdges() []*lockEdge {
-	out := make([]*lockEdge, 0, len(g.edges))
-	for _, e := range g.edges {
-		out = append(out, e)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// condense assigns each mutex node its strongly connected component
-// (iterative Tarjan).
-func (g *lockOrderGraph) condense() map[*types.Var]int {
-	adj := make(map[*types.Var][]*types.Var)
-	var nodes []*types.Var
-	seen := make(map[*types.Var]bool)
-	for _, e := range g.orderedEdges() {
-		for _, v := range [...]*types.Var{e.from, e.to} {
-			if !seen[v] {
-				seen[v] = true
-				nodes = append(nodes, v)
+	pos := nodeLine(w.f.p.Fset, call)
+	for _, o := range w.held {
+		switch {
+		case o.v == nil:
+		case o.v == h.v && o.path == h.path:
+			if h.write && !o.write {
+				lo.ds = append(lo.ds, w.report(call, CheckLockOrder, fmt.Sprintf(
+					"%s upgrades %s from RLock to Lock; the Lock waits for all readers — including this one — and never returns",
+					w.f.fn.Name(), h.path)))
 			}
-		}
-		if e.from != e.to {
-			adj[e.from] = append(adj[e.from], e.to)
+		default:
+			lo.addEdge(o, h, pos)
 		}
 	}
-	index := make(map[*types.Var]int, len(nodes))
-	low := make(map[*types.Var]int, len(nodes))
-	onStack := make(map[*types.Var]bool, len(nodes))
-	comp := make(map[*types.Var]int, len(nodes))
-	var stack []*types.Var
-	next, nComp := 0, 0
+}
 
-	type frame struct {
-		v *types.Var
-		i int
+func (lo *lockOrder) blocking(*heldWalk, ast.Node, string) {}
+
+func (lo *lockOrder) callHeld(w *heldWalk, call *ast.CallExpr) {
+	callee := resolveCallee(w.f.p, call, lo.ix.inModule)
+	if callee == nil {
+		return
 	}
-	for _, root := range nodes {
-		if _, ok := index[root]; ok {
+	pos := nodeLine(w.f.p.Fset, call)
+	for _, o := range w.held {
+		if o.v == nil {
 			continue
 		}
-		work := []frame{{root, 0}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			f := &work[len(work)-1]
-			if f.i < len(adj[f.v]) {
-				w := adj[f.v][f.i]
-				f.i++
-				if _, ok := index[w]; !ok {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				if pv := work[len(work)-1].v; low[v] < low[pv] {
-					low[pv] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
-					}
-				}
-				nComp++
+		for v, bits := range lo.may[callee] {
+			if v != o.v {
+				lo.addEdge(o, heldLock{v: v, path: lo.pathOf[v]}, pos)
+			} else if !o.write && bits&heldWrite != 0 {
+				lo.ds = append(lo.ds, w.report(call, CheckLockOrder, fmt.Sprintf(
+					"%s calls %s while read-holding %s; %s write-locks the same mutex — RLock→Lock upgrade deadlock",
+					w.f.fn.Name(), callee.Name(), o.path, callee.Name())))
 			}
 		}
 	}
-	return comp
 }
 
-// heldLock is one entry of the walk's held set: the mutex identity, the
-// textual path it was acquired through, and the mode.
-type heldLock struct {
-	v     *types.Var
-	path  string
-	write bool
-}
-
-// orderWalker walks one function body in source order, threading the
-// held list through statements (nil-safe: append copies on growth, and
-// branches get explicit clones).
-type orderWalker struct {
-	g     *lockOrderGraph
-	p     *Package
-	owner *types.Func
-}
-
-func cloneHeld(held []heldLock) []heldLock {
-	return append([]heldLock(nil), held...)
-}
-
-func (w *orderWalker) stmts(list []ast.Stmt, held []heldLock) []heldLock {
-	for _, s := range list {
-		held = w.stmt(s, held)
+// findings reports the upgrades and every edge on a cycle: a self-edge,
+// or an edge A→B where B reaches A.
+func (lo *lockOrder) findings() []finding {
+	adj := make(map[*types.Var][]*types.Var)
+	for _, e := range lo.edges {
+		adj[e.from] = append(adj[e.from], e.to)
 	}
-	return held
-}
-
-func (w *orderWalker) stmt(s ast.Stmt, held []heldLock) []heldLock {
-	switch st := s.(type) {
-	case *ast.ExprStmt:
-		return w.expr(st.X, held)
-	case *ast.DeferStmt:
-		if op, _ := lockCallKind(w.p, st.Call); op == opNone {
-			return w.expr(st.Call, held)
-		}
-		return held // deferred release: held to function end
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			held = w.expr(e, held)
-		}
-		return held
-	case *ast.IfStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		held = w.expr(st.Cond, held)
-		w.stmts(st.Body.List, cloneHeld(held))
-		if st.Else != nil {
-			w.stmt(st.Else, cloneHeld(held))
-		}
-		return held
-	case *ast.ForStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		if st.Cond != nil {
-			held = w.expr(st.Cond, held)
-		}
-		w.stmts(st.Body.List, cloneHeld(held))
-		return held
-	case *ast.RangeStmt:
-		held = w.expr(st.X, held)
-		w.stmts(st.Body.List, cloneHeld(held))
-		return held
-	case *ast.BlockStmt:
-		return w.stmts(st.List, held)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			held = w.stmt(st.Init, held)
-		}
-		if st.Tag != nil {
-			held = w.expr(st.Tag, held)
-		}
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
+	reaches := func(from, to *types.Var) bool {
+		seen := map[*types.Var]bool{from: true}
+		for stack := []*types.Var{from}; len(stack) > 0; {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, next := range adj[v] {
+				if next == to {
+					return true
+				}
+				if !seen[next] {
+					seen[next] = true
+					stack = append(stack, next)
+				}
 			}
 		}
-		return held
-	case *ast.TypeSwitchStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-		return held
-	case *ast.SelectStmt:
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.stmts(cc.Body, cloneHeld(held))
-			}
-		}
-		return held
-	case *ast.GoStmt:
-		w.expr(st.Call.Fun, nil)
-		return held
+		return false
 	}
-	return held
-}
-
-// expr processes lock transitions, edge recording and call closure
-// inside one expression, returning the updated held list.
-func (w *orderWalker) expr(e ast.Expr, held []heldLock) []heldLock {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+	ds := lo.ds
+	for _, e := range lo.edges {
+		var msg string
+		switch {
+		case e.from == e.to:
+			msg = "two instances of one mutex nest (%s acquired while %s is held); concurrent callers locking the instances in the opposite order deadlock"
+		case reaches(e.to, e.from):
+			msg = "lock order cycle: %s acquired while %s is held, but another path acquires them in the reverse order — ABBA deadlock"
+		default:
+			continue
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		op, path := lockCallKind(w.p, call)
-		switch op {
-		case opLock, opRLock:
-			v := mutexVar(w.p, call)
-			if v == nil {
-				return false
-			}
-			pos := nodeLine(w.p.Fset, call)
-			for _, h := range held {
-				switch {
-				case h.v == v && h.path == path:
-					if op == opLock && !h.write {
-						w.g.upgrades = append(w.g.upgrades, finding{d: Diagnostic{Pos: pos, Check: CheckLockOrder, Message: fmt.Sprintf(
-							"%s upgrades %s from RLock to Lock; the Lock waits for all readers — including this one — and never returns",
-							w.owner.Name(), path)}})
-					}
-					// Same-path re-acquire of the same kind is mixerlock's
-					// double-lock; no edge.
-				default:
-					w.g.addEdge(h.v, v, h.path, path, pos)
-				}
-			}
-			held = append(held, heldLock{v: v, path: path, write: op == opLock})
-			return false
-		case opUnlock, opRUnlock:
-			for i := len(held) - 1; i >= 0; i-- {
-				if held[i].path == path && held[i].write == (op == opUnlock) {
-					held = append(held[:i:i], held[i+1:]...)
-					break
-				}
-			}
-			return false
-		}
-		if len(held) == 0 {
-			return true
-		}
-		callee := w.g.staticCallee(w.p, call)
-		if callee == nil || len(w.g.may[callee]) == 0 {
-			return true
-		}
-		pos := nodeLine(w.p.Fset, call)
-		for _, h := range held {
-			for v, bits := range w.g.may[callee] {
-				if v == h.v {
-					if !h.write && bits&heldWrite != 0 {
-						w.g.upgrades = append(w.g.upgrades, finding{d: Diagnostic{Pos: pos, Check: CheckLockOrder, Message: fmt.Sprintf(
-							"%s calls %s while read-holding %s; %s write-locks the same mutex — RLock→Lock upgrade deadlock",
-							w.owner.Name(), callee.Name(), h.path, callee.Name())}})
-					}
-					continue
-				}
-				toPath := w.g.pathOf[v]
-				if toPath == "" {
-					toPath = v.Name()
-				}
-				w.g.addEdge(h.v, v, h.path, toPath, pos)
-			}
-		}
-		return true
-	})
-	return held
+		ds = append(ds, finding{d: Diagnostic{Pos: e.pos, Check: CheckLockOrder, Message: fmt.Sprintf(msg, e.toPath, e.fromPath)}})
+	}
+	return ds
 }
