@@ -40,6 +40,14 @@ import (
 	"repro/internal/qosd"
 )
 
+// Server timeouts against slow clients: a client gets readHeaderTimeout
+// to send its request headers, and an idle keep-alive connection is
+// closed after idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -104,7 +112,11 @@ func realMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int 
 	d.StartReaper()
 	defer d.Drain() // stops and joins the reaper even on the error paths
 
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -1,6 +1,7 @@
 package qosd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -23,6 +24,33 @@ func writeError(w http.ResponseWriter, code int, msg string, retryAfter int) int
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
 	return writeJSON(w, code, api.ErrorResponse{Error: msg, RetryAfter: retryAfter})
+}
+
+// maxSmallBody bounds the admit and release bodies, which carry a few
+// scalars.
+const maxSmallBody = 64 << 10
+
+// bodyError answers a request body that could not be read or decoded:
+// 413 past the endpoint's limit, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), 0)
+	}
+	return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+}
+
+// readBody reads r's whole body, at most limit bytes, into one buffer
+// sized from Content-Length.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || n > limit {
+		n = 0
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
 }
 
 // retryAfterSeconds rounds the admit timeout up to whole seconds for
@@ -49,8 +77,8 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
 	var req api.AdmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSmallBody)).Decode(&req); err != nil {
+		return bodyError(w, err)
 	}
 	m, err := d.lookup(req.Model)
 	if err != nil {
@@ -111,6 +139,7 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 // stream registry.
 func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
 	st := &stream{id: d.nextID.Add(1), m: m, grant: g}
+	st.workload = st.cost
 	st.sess = m.rt.AcquireBudgeted(g, session.FuncObserver{
 		Decision: func(dec core.Decision) {
 			st.levels = append(st.levels, dec.LevelIndex)
@@ -130,8 +159,8 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 	}
 	var req api.ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSmallBody)).Decode(&req); err != nil {
+		return bodyError(w, err)
 	}
 	d.mu.Lock()
 	st, ok := d.streams[req.Stream]
@@ -159,23 +188,35 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if d.draining.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
+	body, err := readBody(w, r, d.decideLimit)
+	if err != nil {
+		return bodyError(w, err)
+	}
 	var req api.DecideRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if err := api.DecodeDecideRequest(body, &req); err != nil {
+		return bodyError(w, err)
 	}
 	if len(req.Items) > d.cfg.MaxBatch {
 		return writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("at most %d items per batch", d.cfg.MaxBatch), 0)
 	}
 	resp := api.DecideResponse{Results: make([]api.DecideResult, len(req.Items))}
+	// One backing array holds every item's levels: a cycle runs each
+	// action of its schedule once, so an item needs maxActions at most.
+	levels := make([]int, len(req.Items)*d.maxActions)
 	for i := range req.Items {
-		resp.Results[i] = d.decideOne(&req.Items[i])
+		resp.Results[i] = d.decideOne(&req.Items[i], levels[i*d.maxActions:i*d.maxActions:(i+1)*d.maxActions])
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	// Nothing decoded points into body, so its buffer carries the reply.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(api.AppendDecideResponse(body[:0], &resp))
+	return http.StatusOK
 }
 
-// decideOne runs one stream through one controlled cycle.
-func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
+// decideOne runs one stream through one controlled cycle, appending its
+// levels to levels.
+func (d *Daemon) decideOne(item *api.DecideItem, levels []int) api.DecideResult {
 	out := api.DecideResult{Stream: item.Stream}
 	d.mu.Lock()
 	st, ok := d.streams[item.Stream]
@@ -187,7 +228,7 @@ func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
 	}
 
 	st.mu.Lock()
-	revoked := st.runCycle(item, &out)
+	revoked := st.runCycle(item, levels, &out)
 	if revoked {
 		d.teardownLocked(st)
 	}
@@ -202,10 +243,10 @@ func (d *Daemon) decideOne(item *api.DecideItem) api.DecideResult {
 	return out
 }
 
-// runCycle executes one cycle under st.mu, filling out. It reports
-// whether the stream's lease was revoked (caller tears down and drops
-// the registry entry).
-func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
+// runCycle executes one cycle under st.mu, filling out and appending
+// the chosen levels to levels. It reports whether the stream's lease
+// was revoked (caller tears down and drops the registry entry).
+func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult) bool {
 	if st.gone {
 		out.Code = api.DecideUnknown
 		out.Error = "stream released"
@@ -236,7 +277,9 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 	}
 
 	st.levels = st.levels[:0]
-	res, err := st.sess.RunFunc(st.workload(item))
+	st.costs, st.load = item.Costs, min(max(item.Load, 0), 1)
+	res, err := st.sess.RunFunc(st.workload)
+	st.costs = nil // the request's costs do not outlive it
 	if err != nil {
 		if errors.Is(err, mixer.ErrGrantRevoked) {
 			out.Code = api.DecideRevoked
@@ -255,7 +298,7 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 	st.m.ctrl.candidateEval.Add(int64(res.Stats.CandidateEval))
 
 	out.Code = api.DecideOK
-	out.Levels = append([]int(nil), st.levels...)
+	out.Levels = append(levels, st.levels...)
 	out.Elapsed = int64(res.Elapsed)
 	out.Misses = res.Misses
 	out.Fallbacks = res.Fallbacks
@@ -263,34 +306,23 @@ func (st *stream) runCycle(item *api.DecideItem, out *api.DecideResult) bool {
 	return false
 }
 
-// workload builds the cycle's execution-time function. Explicit Costs
-// are charged verbatim (indexed by schedule action ID); otherwise each
-// action costs its per-level average shifted Load of the way toward the
-// worst case, clamped into [0, 1] so the synthetic cost always respects
-// the execution contract.
-func (st *stream) workload(item *api.DecideItem) func(core.ActionID, core.Level) core.Cycles {
-	if len(item.Costs) > 0 {
-		costs := item.Costs
-		return func(a core.ActionID, _ core.Level) core.Cycles {
-			return core.Cycles(costs[a])
-		}
-	}
-	f := item.Load
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
+// cost is the stream's execution-time function for the cycle runCycle
+// is running, under st.mu. Explicit costs are charged verbatim (indexed
+// by schedule action ID); otherwise each action costs its per-level
+// average shifted load of the way toward the worst case, with load
+// clamped into [0, 1] so the synthetic cost always respects the
+// execution contract.
+func (st *stream) cost(a core.ActionID, q core.Level) core.Cycles {
+	if len(st.costs) > 0 {
+		return core.Cycles(st.costs[a])
 	}
 	sys := st.m.rt.System()
-	return func(a core.ActionID, q core.Level) core.Cycles {
-		av := sys.Cav.At(q, a)
-		wc := sys.Cwc.At(q, a)
-		if wc.IsInf() {
-			return av
-		}
-		return av.AddSat(core.Cycles(f * float64(wc.SubSat(av))))
+	av := sys.Cav.At(q, a)
+	wc := sys.Cwc.At(q, a)
+	if wc.IsInf() {
+		return av
 	}
+	return av.AddSat(core.Cycles(st.load * float64(wc.SubSat(av))))
 }
 
 // handleCapacity reports every model's admission headroom (or one

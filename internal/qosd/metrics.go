@@ -21,7 +21,7 @@ var latencyBuckets = []float64{
 
 // trackedCodes are the response codes counted per endpoint; anything
 // else folds into codeOther.
-var trackedCodes = []int{200, 400, 404, 405, 410, 422, 429, 500, 503}
+var trackedCodes = []int{200, 400, 404, 405, 410, 413, 422, 429, 500, 503}
 
 const codeOther = 0
 

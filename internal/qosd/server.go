@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mixer"
+	"repro/internal/qosd/api"
 	"repro/internal/session"
 )
 
@@ -61,8 +62,9 @@ type Config struct {
 	// AdmitTimeout bounds how long an admit request queues for capacity
 	// before the daemon sheds it with 429. Default 250ms.
 	AdmitTimeout time.Duration
-	// MaxBatch caps the streams per admit and the items per decide.
-	// Default 1024.
+	// MaxBatch caps the streams per admit and the items per decide;
+	// with the longest served schedule it also bounds the decide body
+	// (api.DecideBodyLimit). Default 1024.
 	MaxBatch int
 }
 
@@ -92,6 +94,13 @@ type stream struct {
 	grant  *mixer.Grant
 	levels []int // reusable per-decide level buffer, filled by the observer
 	gone   bool  // released or revoked; the registry entry may lag
+
+	// The running cycle's workload: workload is st.cost, bound once at
+	// register, and reads the item's costs (nil between cycles) or its
+	// clamped synthetic load.
+	workload func(core.ActionID, core.Level) core.Cycles
+	costs    []int64
+	load     float64
 }
 
 // Daemon is the qosd server core. Build one with New, mount Handler on
@@ -102,6 +111,11 @@ type Daemon struct {
 	cfg    Config
 	models map[string]*model
 	order  []string // deterministic iteration for /metrics and /v1/capacity
+
+	// maxActions is the longest served schedule; decideLimit bounds a
+	// /v1/decide body to MaxBatch items of that schedule.
+	maxActions  int
+	decideLimit int64
 
 	mu      sync.Mutex
 	streams map[uint64]*stream
@@ -178,8 +192,10 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.models[mf.Name] = m
 		d.order = append(d.order, mf.Name)
+		d.maxActions = max(d.maxActions, m.nActions)
 	}
 	sort.Strings(d.order)
+	d.decideLimit = api.DecideBodyLimit(cfg.MaxBatch, d.maxActions)
 	return d, nil
 }
 

@@ -254,6 +254,72 @@ func TestQosdDecideItemCodes(t *testing.T) {
 	}
 }
 
+// TestQosdDecideAllocsFlat: a decide request's allocations do not grow
+// with its item count — costs, levels and the reply each share one
+// per-request buffer, and the workload function is bound per stream.
+func TestQosdDecideAllocsFlat(t *testing.T) {
+	d, srv := newTestDaemon(t, nil)
+	st := admitN(t, srv, 1)[0]
+	h := d.Handler()
+	allocs := func(items int) float64 {
+		req := api.DecideRequest{Items: make([]api.DecideItem, items)}
+		for i := range req.Items {
+			req.Items[i] = api.DecideItem{Stream: st.ID, Costs: []int64{20, 20}}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("decide: HTTP %d: %s", rec.Code, rec.Body)
+			}
+		})
+	}
+	one, sixteen := allocs(1), allocs(16)
+	t.Logf("allocs per decide: %.0f for 1 item, %.0f for 16", one, sixteen)
+	if sixteen > one+4 {
+		t.Fatalf("decide allocations grow with items: %.0f for 1 item, %.0f for 16", one, sixteen)
+	}
+}
+
+// TestQosdBodyLimits: a decide body at the limit computed from MaxBatch
+// and the schedule is decoded, one byte more is refused with 413, and
+// so is an admit body past its fixed bound.
+func TestQosdBodyLimits(t *testing.T) {
+	d, srv := newTestDaemon(t, nil)
+	st := admitN(t, srv, 1)[0]
+	body, err := json.Marshal(api.DecideRequest{Items: []api.DecideItem{{Stream: st.ID, Costs: []int64{20, 20}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(ep string, body []byte) int {
+		resp, err := http.Post(srv.URL+ep, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// pad fills body to n bytes with whitespace before its closing
+	// brace, inside the first JSON value, which is all a decoder reads.
+	pad := func(body []byte, n int64) []byte {
+		last := len(body) - 1
+		return append(append(body[:last:last], bytes.Repeat([]byte{' '}, int(n)-len(body))...), body[last])
+	}
+	if code := post("/v1/decide", pad(body, d.decideLimit)); code != http.StatusOK {
+		t.Fatalf("decide body of %d bytes, the limit: HTTP %d", d.decideLimit, code)
+	}
+	if code := post("/v1/decide", pad(body, d.decideLimit+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("decide body one byte over the limit: HTTP %d", code)
+	}
+	if code := post("/v1/admit", pad([]byte(`{"streams":1}`), maxSmallBody+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("admit body past %d bytes: HTTP %d", maxSmallBody, code)
+	}
+}
+
 // TestQosdLeaseRevocation: a client that admits and then goes silent is
 // reaped — its next decide gets 410, its share returns to the pool, and
 // the stream vanishes from the registry.
