@@ -86,6 +86,34 @@ func benchDecisionLoop(b *testing.B, sys *core.System, actual core.Cycles, opts 
 	}
 }
 
+// linearScan is the linear-scan reference decision the threshold engine
+// is measured against: it wraps the table evaluator and probes it
+// through the core.Evaluator interface from the top level down, one
+// probe per level tried.
+type linearScan struct{ core.Evaluator }
+
+func (s linearScan) MaxAdmissibleLevel(i, hi int, t core.Cycles, soft bool) (int, int) {
+	probes := 0
+	for qi := hi; qi >= 0; qi-- {
+		probes++
+		if soft && s.AllowedAv(qi, i, t) || !soft && core.Allowed(s.Evaluator, qi, i, t) {
+			return qi, probes
+		}
+	}
+	return -1, probes
+}
+
+// linearScanOption puts a controller over sys on the linear-scan
+// reference: the tables and order of the default program, scanned.
+func linearScanOption(tb testing.TB, sys *core.System) core.Option {
+	tb.Helper()
+	p, err := core.NewProgram(sys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return core.WithEvaluator(linearScan{p.Evaluator()}, p.Schedule())
+}
+
 // BenchmarkControllerDecision measures one controller decision across
 // level counts on the table path — threshold engine vs the retained
 // linear-scan reference — plus the direct (no-tables) path.
@@ -96,7 +124,7 @@ func BenchmarkControllerDecision(b *testing.B) {
 			benchDecisionLoop(b, sys, step)
 		})
 		b.Run(fmt.Sprintf("levels-%d/table-linear-scan", nl), func(b *testing.B) {
-			benchDecisionLoop(b, sys, step, core.WithReferenceScan(true))
+			benchDecisionLoop(b, sys, step, linearScanOption(b, sys))
 		})
 	}
 	// Direct evaluation re-runs Best_Sched per candidate: keep it small.
@@ -237,7 +265,7 @@ func TestEmitCoreBenchJSON(t *testing.T) {
 			opts []core.Option
 		}{
 			{"table-threshold", nil},
-			{"table-linear-scan", []core.Option{core.WithReferenceScan(true)}},
+			{"table-linear-scan", []core.Option{linearScanOption(t, sys)}},
 		} {
 			r := testing.Benchmark(func(b *testing.B) {
 				benchDecisionLoop(b, sys, step, path.opts...)

@@ -90,7 +90,6 @@ func (m *mixerBench) serve(tb testing.TB, periods int) float64 {
 			rng := qos.NewRNG(uint64(i + 1))
 			s := m.rt.AcquireBudgeted(m.grants[i])
 			defer m.rt.Release(s)
-			s.SetLean(true) // steady-state serving: no per-cycle snapshots
 			sys := m.sys
 			// One workload closure per stream, hoisted out of the period
 			// loop so the loop itself allocates nothing.

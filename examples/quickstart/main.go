@@ -35,11 +35,14 @@ func main() {
 		log.Fatal(err) // names the offending action and level
 	}
 
-	// One stream, one session. An observer watches the controller
-	// degrade quality when a slow fetch would make q1 unsafe.
+	// One stream, one session. An observer records the cycle's
+	// decisions and watches the controller degrade quality when a slow
+	// fetch would make q1 unsafe.
 	var lowDecisions int
+	var decided []qos.Decision
 	s, err := qos.NewSession(sys, qos.WithObserver(qos.FuncObserver{
 		Decision: func(d qos.Decision) {
+			decided = append(decided, d)
 			if d.Level == 0 {
 				lowDecisions++
 			}
@@ -55,6 +58,7 @@ func main() {
 	g := sys.Graph
 	for cycle := 0; cycle < 5; cycle++ {
 		s.Reset()
+		decided = decided[:0]
 		res, err := s.RunFunc(func(a qos.ActionID, q qos.Level) qos.Cycles {
 			av := sys.Cav.At(q, a)
 			wc := sys.Cwc.At(q, a)
@@ -64,11 +68,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("cycle %d: finished at t=%-4s quality=", cycle, res.Elapsed)
-		for i, st := range res.Trace {
+		for i, d := range decided {
 			if i > 0 {
 				fmt.Print(",")
 			}
-			fmt.Printf("%s@q%d", g.Name(st.Action), st.Level)
+			fmt.Printf("%s@q%d", g.Name(d.Action), d.Level)
 		}
 		fmt.Printf("  misses=%d\n", res.Misses)
 	}

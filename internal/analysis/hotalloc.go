@@ -42,9 +42,9 @@ const hotpathMarker = "qos:hotpath"
 // inside it.
 //
 // Dynamic dispatch is the known hole: an interface method call has no
-// static callee, so the walk stops there. That is why both
-// LevelSelector implementations are roots themselves rather than being
-// reached through Controller.Next's selector field.
+// static callee, so the walk stops there. That is why both Evaluator
+// MaxAdmissibleLevel implementations are roots themselves rather than
+// being reached through Controller.Next's evaluator call.
 func checkHotAlloc(ix *funcIndex, ann *annotations) []finding {
 	// Static call edges to declared module functions, in source order,
 	// with positions (for alloc-ok edge pruning).

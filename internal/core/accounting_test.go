@@ -52,7 +52,9 @@ func TestSparseLevelIndexAccounting(t *testing.T) {
 	sys := chainSystem(t, levels, []Cycles{1, 5, 9}, 4, 1000)
 	for _, tables := range []bool{true, false} {
 		c := mustController(t, sys, WithTables(tables))
+		var decided []Level
 		res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+			decided = append(decided, q)
 			return sys.Cav.At(q, a)
 		})
 		if err != nil {
@@ -60,9 +62,9 @@ func TestSparseLevelIndexAccounting(t *testing.T) {
 		}
 		// Deadlines are generous: the top level (value 5, index 2) is
 		// chosen for every action.
-		for i, st := range res.Trace {
-			if st.Level != 5 || st.LevelIndex != 2 {
-				t.Errorf("tables=%v step %d: level=%d index=%d, want 5/2", tables, i, st.Level, st.LevelIndex)
+		for i, q := range decided {
+			if q != 5 || levels.Index(q) != 2 {
+				t.Errorf("tables=%v step %d: level=%d index=%d, want 5/2", tables, i, q, levels.Index(q))
 			}
 		}
 		if got := res.Stats.LevelSum; got != 2*4 {
@@ -177,9 +179,15 @@ func TestCandidateEvalThresholdProbes(t *testing.T) {
 	}
 	sys := chainSystem(t, levels, cost, 2, 100)
 
+	ctrl := func(ref bool) *Controller {
+		if ref {
+			return scanController(t, sys)
+		}
+		return mustController(t, sys)
+	}
 	// Top admissible at t=0: one probe on both engines.
 	for _, ref := range []bool{false, true} {
-		c := mustController(t, sys, WithReferenceScan(ref))
+		c := ctrl(ref)
 		if _, err := c.Next(); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +201,7 @@ func TestCandidateEvalThresholdProbes(t *testing.T) {
 	// mid 1 fail, mid 0 hit — 4 probes. The reference walks all 8
 	// levels.
 	run := func(ref bool) int {
-		c := mustController(t, sys, WithReferenceScan(ref))
+		c := ctrl(ref)
 		c.Preempt(99)
 		d, err := c.Next()
 		if err != nil {

@@ -204,7 +204,7 @@ func (tb *Tables) Allowed(qi, i int, t Cycles) bool {
 	return t <= tb.minSlack[i*tb.nl+qi]
 }
 
-// MaxAdmissibleLevel implements LevelSelector: the highest admissible
+// MaxAdmissibleLevel implements Evaluator: the highest admissible
 // level index in [0, hi] at position i and elapsed time t, together with
 // the number of threshold probes performed, or (-1, probes) when no
 // level is admissible. soft restricts the test to Qual_Const^av.

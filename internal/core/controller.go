@@ -62,14 +62,6 @@ func WithEvaluator(ev Evaluator, order []ActionID) Option {
 	}
 }
 
-// WithReferenceScan forces (true) the retained linear-scan reference
-// path on top of the table evaluator: candidate levels are probed one
-// at a time from the highest down, exactly as the pre-threshold-engine
-// controller did. The reference exists for differential testing and
-// benchmarking of the O(log|Q|) threshold selector; decisions are
-// identical, only the probe pattern (and CandidateEval count) differs.
-func WithReferenceScan(use bool) Option { return func(p *Program) { p.refScan = use } }
-
 // WithProgramCache attaches a ProgramCache: Controller.Retarget
 // consults it before rebuilding tables for a non-uniform deadline
 // change and shares what it builds through it. One cache may serve any
@@ -109,14 +101,12 @@ type Program struct {
 
 	forceTables *bool
 	fixedAlpha  []ActionID
-	refScan     bool
 	cache       *ProgramCache
 
+	// useTables selects the evaluator path; otherwise every decision
+	// re-derives Best_Sched per candidate level (allowedDirect).
 	useTables bool
 	eval      Evaluator
-	// selector is the threshold fast path: set when eval implements
-	// LevelSelector and the linear-scan reference is not forced.
-	selector LevelSelector
 
 	alpha []ActionID // schedule order at qmin; never mutated after build
 }
@@ -159,11 +149,6 @@ func NewProgram(sys *System, opts ...Option) (*Program, error) {
 		}
 		if p.useTables {
 			p.eval = NewTables(sys, p.alpha)
-		}
-	}
-	if !p.refScan {
-		if sel, ok := p.eval.(LevelSelector); ok {
-			p.selector = sel
 		}
 	}
 	return p, nil
@@ -230,6 +215,12 @@ type Controller struct {
 	// refuse it. Deliberately NOT cleared by Reset — quarantine is
 	// permanent for the instance (see Quarantine).
 	quarantined bool
+	// _ pads the struct to 192 bytes, three 64-byte cache lines.
+	// Controllers of concurrent streams sit side by side in the heap
+	// and are written on every decision from different goroutines;
+	// unpadded (144 bytes) one instance's stats share a cache line with
+	// the next instance's prog and alpha, which every decision reads.
+	_ [48]byte
 }
 
 // ControllerStats accumulates per-cycle controller behaviour.
@@ -238,14 +229,12 @@ type ControllerStats struct {
 	Fallbacks    int   // decisions where no level was admissible
 	LevelSum     int64 // sum of chosen level *indexes* (for mean quality)
 	LevelChanges int   // decisions that changed level vs previous action
-	// CandidateEval counts admissibility probes. On the threshold fast
-	// path (Tables, IterativeTables) it is the number of threshold
-	// comparisons the level selector performed — 1 when the top
-	// candidate is admissible, ≈ log₂|Q| otherwise via binary search —
-	// NOT the number of levels skipped. On the linear-scan reference
-	// (WithReferenceScan) and the direct path it remains the number of
-	// candidate levels evaluated. Either way it measures admission work
-	// per decision.
+	// CandidateEval counts admissibility probes: the probe count the
+	// evaluator's MaxAdmissibleLevel reports on the table path (1 when
+	// the top candidate is admissible, ≈ log₂|Q| otherwise for Tables
+	// and IterativeTables — NOT the number of levels skipped), and the
+	// number of candidate levels evaluated on the direct path. Either
+	// way it measures admission work per decision.
 	CandidateEval int
 }
 
@@ -375,7 +364,6 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 		WithMode(c.prog.mode),
 		WithMaxStep(c.prog.maxStep),
 		WithTables(c.prog.useTables),
-		WithReferenceScan(c.prog.refScan),
 		WithProgramCache(c.prog.cache),
 	}
 	if c.prog.fixedAlpha != nil {
@@ -477,7 +465,7 @@ func (c *Controller) Stats() ControllerStats { return c.stats }
 //qos:hotpath
 func (c *Controller) Next() (Decision, error) {
 	if c.Done() {
-		return Decision{}, errors.New("core: cycle complete; Reset before reuse")
+		return Decision{}, errCycleComplete
 	}
 	c.stats.Decisions++
 	levels := c.prog.sys.Levels
@@ -488,29 +476,21 @@ func (c *Controller) Next() (Decision, error) {
 		}
 	}
 	chosen := -1
-	if sel := c.prog.selector; sel != nil {
-		// Threshold fast path: the selector yields the maximal
-		// admissible level directly (O(log|Q|) probes over the
-		// precomputed slack thresholds; zero allocations).
+	if c.prog.useTables {
+		// The evaluator yields the maximal admissible level directly
+		// (O(log|Q|) probes over the precomputed slack thresholds; zero
+		// allocations).
 		teff := c.t
 		if c.dshift != 0 {
 			teff = teff.SubSat(c.dshift)
 		}
 		var probes int
-		chosen, probes = sel.MaxAdmissibleLevel(c.i, hi, teff, c.prog.mode == Soft)
+		chosen, probes = c.prog.eval.MaxAdmissibleLevel(c.i, hi, teff, c.prog.mode == Soft)
 		c.stats.CandidateEval += probes
-	} else if c.prog.useTables {
-		for qi := hi; qi >= 0; qi-- {
-			c.stats.CandidateEval++
-			if c.allowedTables(qi) {
-				chosen = qi
-				break
-			}
-		}
 	} else {
 		for qi := hi; qi >= 0; qi-- {
 			c.stats.CandidateEval++
-			if c.allowedDirect(qi) { //qos:alloc-ok documented slow path: table-free programs re-derive Best_Sched per probe (WithReferenceScan / differential testing); production programs take the selector path above
+			if c.allowedDirect(qi) { //qos:alloc-ok live path when deadline order depends on quality: no fixed order to precompute tables along, so each probe re-derives Best_Sched
 				chosen = qi
 				break
 			}
@@ -549,17 +529,6 @@ func (c *Controller) Next() (Decision, error) {
 	}
 	c.stats.LevelSum += int64(chosen)
 	return d, nil
-}
-
-func (c *Controller) allowedTables(qi int) bool {
-	t := c.t
-	if c.dshift != 0 {
-		t = t.SubSat(c.dshift)
-	}
-	if c.prog.mode == Soft {
-		return c.prog.eval.AllowedAv(qi, c.i, t)
-	}
-	return Allowed(c.prog.eval, qi, c.i, t)
 }
 
 func (c *Controller) allowedDirect(qi int) bool {
@@ -605,7 +574,7 @@ func (c *Controller) Preempt(dt Cycles) {
 	}
 }
 
-// CycleDriver is the decision-loop surface RunCycleWith drives: a
+// CycleDriver is the decision-loop surface RunCycleLeanWith drives: a
 // Controller, or any wrapper (e.g. a session with observer hooks) that
 // forwards to one.
 type CycleDriver interface {
@@ -613,41 +582,27 @@ type CycleDriver interface {
 	Next() (Decision, error)
 	Completed(Cycles)
 	Elapsed() Cycles
-	Position() int
-	Assignment() Assignment
-	Schedule() []ActionID
 	Stats() ControllerStats
 	System() *System
 }
 
-// RunCycleWith drives d through a full cycle against exec, which runs
-// one action at a quality and returns the actual cycles consumed. It
-// returns the realised schedule, assignment, total elapsed time and
-// whether any deadline was missed (checked against D_θ). This is the
-// one copy of the per-cycle accounting, shared by Controller.RunCycle
-// and the session layer.
-func RunCycleWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
-	return runCycle(c, exec, false)
-}
+// errCycleComplete is returned by Next and RunCycleLeanWith on a driver
+// whose cycle already ran to the end.
+var errCycleComplete = errors.New("core: cycle complete; Reset before reuse")
 
-// RunCycleLeanWith is RunCycleWith minus the per-cycle snapshots:
-// Trace, Assignment and Schedule stay nil, so the serving loop itself
-// performs no heap allocation in steady state. The aggregate results
-// (Steps, Elapsed, Misses, Fallbacks, Stats) are identical, and
-// MeanLevel falls back to the controller statistics — exact per cycle
-// when the driver is Reset between cycles, cumulative otherwise.
+// RunCycleLeanWith drives c through a full cycle against exec, which
+// runs one action at a quality and returns the actual cycles consumed.
+// Misses are counted against D_θ at the driver's elapsed time. This is
+// the one decision loop, shared by Controller.RunCycle, the session
+// layer and the platform executor; it performs no heap allocation. The
+// driver must be at the start of a cycle: one that is already Done
+// returns the error Next would.
 func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
-	return runCycle(c, exec, true)
-}
-
-// runCycle is the one copy of the per-cycle decision loop; lean skips
-// the Trace/Assignment/Schedule snapshots.
-func runCycle(c CycleDriver, exec func(ActionID, Level) Cycles, lean bool) (CycleResult, error) {
 	res := CycleResult{}
-	sys := c.System()
-	if !lean {
-		res.Trace = make([]StepTrace, 0, sys.Graph.Len()-c.Position())
+	if c.Done() {
+		return res, errCycleComplete
 	}
+	sys := c.System()
 	for !c.Done() {
 		d, err := c.Next()
 		if err != nil {
@@ -663,71 +618,38 @@ func runCycle(c CycleDriver, exec func(ActionID, Level) Cycles, lean bool) (Cycl
 			res.Fallbacks++
 		}
 		res.Steps++
-		if !lean {
-			res.Trace = append(res.Trace, StepTrace{
-				Action: d.Action, Level: d.Level, LevelIndex: d.LevelIndex,
-				Actual: actual, Finish: c.Elapsed(),
-			})
-		}
 	}
 	res.Elapsed = c.Elapsed()
-	if !lean {
-		res.Assignment = c.Assignment()
-		res.Schedule = c.Schedule()
-	}
 	res.Stats = c.Stats()
 	return res, nil
 }
 
-// RunCycle drives a full cycle against exec; see RunCycleWith.
+// RunCycle drives a full cycle against exec; see RunCycleLeanWith.
 func (c *Controller) RunCycle(exec func(ActionID, Level) Cycles) (CycleResult, error) {
-	return RunCycleWith(c, exec)
+	return RunCycleLeanWith(c, exec)
 }
 
-// StepTrace records one executed action. LevelIndex is the position of
-// Level in the system's ordered level set.
-type StepTrace struct {
-	Action     ActionID
-	Level      Level
-	LevelIndex int
-	Actual     Cycles
-	Finish     Cycles
-}
-
-// CycleResult summarises one controlled cycle. Schedule, Assignment
-// and Trace are nil on the lean path (RunCycleLeanWith); the scalar
-// fields are always populated.
+// CycleResult summarises one controlled cycle. The realised schedule
+// and assignment stay readable on the controller (Schedule, Assignment)
+// until its next Reset.
 type CycleResult struct {
-	Schedule   []ActionID
-	Assignment Assignment
-	Trace      []StepTrace
-	// Steps is the number of actions executed this cycle — len(Trace)
-	// on the full path, and the only step count on the lean path.
-	Steps     int
+	Steps     int // actions executed this cycle
 	Elapsed   Cycles
 	Misses    int
 	Fallbacks int
 	Stats     ControllerStats
 }
 
-// MeanLevel returns the mean chosen quality over the cycle, measured in
-// level *indexes* (0 = qmin). With non-contiguous level sets the raw
-// level values would overstate quality and disagree with the index
-// arithmetic of the controller's candidate loop; indexes keep the
-// average comparable across systems. Without a Trace (lean path) it is
-// derived from the controller statistics instead, which cover
-// everything since the driver's last Reset — identical per cycle when
-// the driver is Reset between cycles.
+// MeanLevel returns the mean chosen quality, measured in level *indexes*
+// (0 = qmin). With non-contiguous level sets the raw level values would
+// overstate quality and disagree with the index arithmetic of the
+// controller's candidate loop; indexes keep the average comparable
+// across systems. It is derived from the controller statistics, which
+// cover everything since the driver's last Reset: the cycle's mean when
+// the driver is Reset before each cycle.
 func (r CycleResult) MeanLevel() float64 {
-	if len(r.Trace) == 0 {
-		if r.Stats.Decisions == 0 {
-			return 0
-		}
-		return float64(r.Stats.LevelSum) / float64(r.Stats.Decisions)
+	if r.Stats.Decisions == 0 {
+		return 0
 	}
-	var s int64
-	for _, st := range r.Trace {
-		s += int64(st.LevelIndex)
-	}
-	return float64(s) / float64(len(r.Trace))
+	return float64(r.Stats.LevelSum) / float64(r.Stats.Decisions)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestControllerSingleAction(t *testing.T) {
@@ -172,5 +173,16 @@ func TestPropertySoftAdmitsMoreThanHard(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControllerSizeIsCacheLineMultiple: controllers of concurrent
+// streams are allocated side by side, so a size that is not a whole
+// number of 64-byte cache lines lets one stream's per-decision writes
+// slow its neighbour's reads (false sharing). Adjust the padding field
+// when the struct changes.
+func TestControllerSizeIsCacheLineMultiple(t *testing.T) {
+	if s := unsafe.Sizeof(Controller{}); s%64 != 0 {
+		t.Fatalf("sizeof(Controller) = %d, not a multiple of 64", s)
 	}
 }

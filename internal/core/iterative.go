@@ -21,6 +21,15 @@ type Evaluator interface {
 	AllowedAv(qi, i int, t Cycles) bool
 	// AllowedWc is the table form of Qual_Const^wc.
 	AllowedWc(qi, i int, t Cycles) bool
+	// MaxAdmissibleLevel is the controller's decision: the highest
+	// admissible level index in [0, hi] at position i and elapsed time
+	// t (hi already carries any smoothness clamp), or -1 when none is
+	// admissible, together with the number of probes performed (the
+	// ControllerStats.CandidateEval currency). soft restricts the test
+	// to Qual_Const^av. Admissibility at a fixed position is a
+	// threshold test t ≤ slack over a (usually monotone) per-position
+	// slack profile, so Tables and IterativeTables answer in O(log|Q|).
+	MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (chosen, probes int)
 }
 
 // Allowed evaluates the conjunction on any Evaluator.
@@ -184,7 +193,7 @@ func (it *IterativeTables) admissible(qi, i int, t Cycles, soft bool) bool {
 	return it.AllowedAv(qi, i, t) && it.AllowedWc(qi, i, t)
 }
 
-// MaxAdmissibleLevel implements LevelSelector in O(log|Q|) probes with
+// MaxAdmissibleLevel implements Evaluator in O(log|Q|) probes with
 // O(1) slack evaluation per probe. The suffix sums are non-decreasing in
 // the level (execution times are, by System invariant), so the
 // admissible set at a fixed position is always a prefix of the level

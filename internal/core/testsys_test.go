@@ -105,3 +105,32 @@ func mustController(t *testing.T, sys *System, opts ...Option) *Controller {
 	}
 	return c
 }
+
+// linearScan is the linear-scan reference decision, kept as the oracle
+// of the threshold engine: it wraps a table evaluator and answers
+// MaxAdmissibleLevel by probing Allowed (AllowedAv in soft mode) from
+// hi down, one probe per level tried.
+type linearScan struct{ Evaluator }
+
+func (s linearScan) MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (int, int) {
+	probes := 0
+	for qi := hi; qi >= 0; qi-- {
+		probes++
+		if soft && s.AllowedAv(qi, i, t) || !soft && Allowed(s.Evaluator, qi, i, t) {
+			return qi, probes
+		}
+	}
+	return -1, probes
+}
+
+// scanController builds the linear-scan reference for sys under opts:
+// the evaluator and schedule order a plain table program would use,
+// with every decision scanned level by level.
+func scanController(t *testing.T, sys *System, opts ...Option) *Controller {
+	t.Helper()
+	p, err := NewProgram(sys, opts...)
+	if err != nil {
+		t.Fatalf("NewProgram: %v", err)
+	}
+	return mustController(t, sys, append(opts[:len(opts):len(opts)], WithEvaluator(linearScan{p.Evaluator()}, p.Schedule()))...)
+}

@@ -3,30 +3,8 @@ package core
 import "sync"
 
 // This file holds the flat threshold decision engine's supporting
-// machinery: the LevelSelector interface the controller's hot path
-// dispatches to, uniform-shift detection for O(1) re-targeting, and a
-// small LRU Program cache for recurring non-uniform deadline families.
-
-// LevelSelector is the fast-path admissibility oracle: instead of
-// answering one level at a time (Evaluator), it yields the maximal
-// admissible level index directly, exploiting that admissibility at a
-// fixed position is a threshold test t ≤ slack over a (usually
-// monotone) per-position slack profile. Tables answers in O(log|Q|)
-// via binary search over its precomputed position-major slab;
-// IterativeTables answers in O(log|Q|) with O(1) slack evaluation per
-// probe.
-//
-// MaxAdmissibleLevel returns the highest admissible level index in
-// [0, hi] at position i and elapsed time t (hi already carries any
-// smoothness clamp), or -1 when none is admissible, together with the
-// number of threshold probes performed (the ControllerStats.
-// CandidateEval currency). soft restricts the test to Qual_Const^av.
-type LevelSelector interface {
-	MaxAdmissibleLevel(i, hi int, t Cycles, soft bool) (chosen, probes int)
-}
-
-var _ LevelSelector = (*Tables)(nil)
-var _ LevelSelector = (*IterativeTables)(nil)
+// machinery: uniform-shift detection for O(1) re-targeting, and a small
+// LRU Program cache for recurring non-uniform deadline families.
 
 // UniformShift reports whether the deadline family next is the family
 // prev displaced by one common offset: every finite entry moved by the
@@ -222,7 +200,7 @@ func (pc *ProgramCache) lookup(cur *Program, d *TimeFamily) *Program {
 		p := e.prog
 		if e.hash != h ||
 			p.mode != cur.mode || p.maxStep != cur.maxStep ||
-			p.useTables != cur.useTables || p.refScan != cur.refScan ||
+			p.useTables != cur.useTables ||
 			p.sys.Graph != cur.sys.Graph || p.sys.Cav != cur.sys.Cav || p.sys.Cwc != cur.sys.Cwc ||
 			!equalActionIDs(p.fixedAlpha, cur.fixedAlpha) ||
 			!equalSoftMasks(p.sys.Soft, cur.sys.Soft) ||

@@ -124,12 +124,12 @@ func TestDifferentialThresholdVsReferenceScan(t *testing.T) {
 			opts = append(opts, WithMaxStep(k))
 		}
 		fast := mustController(t, sys, opts...)
-		ref := mustController(t, sys, append(opts[:len(opts):len(opts)], WithReferenceScan(true))...)
-		if !fast.prog.useTables || fast.prog.selector == nil {
+		ref := scanController(t, sys, opts...)
+		if _, ok := fast.prog.eval.(*Tables); !fast.prog.useTables || !ok {
 			t.Fatalf("seed %d: threshold engine not engaged (tables=%v)", seed, fast.prog.useTables)
 		}
-		if ref.prog.selector != nil {
-			t.Fatalf("seed %d: reference controller got a selector", seed)
+		if _, ok := ref.prog.eval.(linearScan); !ok {
+			t.Fatalf("seed %d: reference controller is not on the linear scan", seed)
 		}
 		if tb := fast.prog.eval.(*Tables); tb != nil {
 			soft := fast.prog.mode == Soft
@@ -172,8 +172,8 @@ func TestDifferentialIterativeSelector(t *testing.T) {
 		}
 		fast := mustController(t, unrolled, append(opts[:len(opts):len(opts)], WithEvaluator(it, it.Order()))...)
 		ref := mustController(t, unrolled,
-			append(opts[:len(opts):len(opts)], WithEvaluator(it2, it2.Order()), WithReferenceScan(true))...)
-		if fast.prog.selector == nil {
+			append(opts[:len(opts):len(opts)], WithEvaluator(linearScan{it2}, it2.Order()))...)
+		if fast.prog.eval != Evaluator(it) {
 			t.Fatalf("seed %d: iterative selector not engaged", seed)
 		}
 		driveBoth(t, r, seed, unrolled, fast, ref, 2)

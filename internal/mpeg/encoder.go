@@ -208,7 +208,7 @@ func (e *Encoder) EncodeFrame(f *video.Frame, budget core.Cycles) (FrameReport, 
 		}
 	}
 	e.Sess.Reset()
-	rep, err := e.Exec.RunControlled(e.Sess, w, e.FS.Sys)
+	rep, err := e.Exec.RunControlled(e.Sess, w)
 	if err != nil {
 		return FrameReport{}, err
 	}

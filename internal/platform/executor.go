@@ -28,23 +28,12 @@ type Executor struct {
 	// DecisionOverhead is charged to the clock for every controller
 	// decision (quality-manager table lookups, bookkeeping).
 	DecisionOverhead core.Cycles
-	// RecordTrace enables per-action traces in reports (costs memory on
-	// long runs).
-	RecordTrace bool
 }
 
 // NewExecutor returns an executor on a fresh simulated clock with the
 // default decision overhead.
 func NewExecutor() *Executor {
 	return &Executor{Clock: NewSimClock(), DecisionOverhead: DefaultDecisionOverhead}
-}
-
-// Step is one executed action in a report trace.
-type Step struct {
-	Action core.ActionID
-	Level  core.Level
-	Cost   core.Cycles
-	Finish core.Cycles // relative to cycle start
 }
 
 // Report summarises one executed cycle (one frame, in the MPEG case).
@@ -56,7 +45,6 @@ type Report struct {
 	Misses     int
 	Fallbacks  int
 	LevelSum   int64 // sum of chosen level indexes (0 = qmin)
-	Trace      []Step
 }
 
 // MeanLevel returns the mean quality over the cycle in level indexes.
@@ -75,57 +63,34 @@ func (r Report) OverheadFraction() float64 {
 	return float64(r.CtrlCycles) / float64(r.Elapsed)
 }
 
-// Driver is the per-cycle decision loop the executor drives: the
-// controller-shaped subset of behaviour RunControlled needs.
-// *core.Controller implements it directly; session wrappers that add
-// observer hooks around a controller implement it too.
-type Driver interface {
-	Done() bool
-	Next() (core.Decision, error)
-	Completed(core.Cycles)
-	Elapsed() core.Cycles
-}
-
-var _ Driver = (*core.Controller)(nil)
-
-// RunControlled executes one full cycle driven by the controller: for
-// each step the controller picks (action, level), the workload consumes
-// cycles, and the controller observes the completion time. The
+// RunControlled executes one full cycle driven by the controller
+// through core.RunCycleLeanWith: for each step the controller picks
+// (action, level), the clock pays the decision overhead and then the
+// workload's cycles, and the controller observes the completion time on
+// the clock. Misses are counted against the controller's time. The
 // controller must be at the start of a cycle (fresh or Reset).
-func (e *Executor) RunControlled(ctrl Driver, w Workload, sys *core.System) (Report, error) {
+func (e *Executor) RunControlled(ctrl core.CycleDriver, w Workload) (Report, error) {
 	rep := Report{}
 	start := e.Clock.Now()
-	for !ctrl.Done() {
-		d, err := ctrl.Next()
-		if err != nil {
-			return rep, fmt.Errorf("platform: controller: %w", err)
-		}
+	res, err := core.RunCycleLeanWith(ctrl, func(a core.ActionID, q core.Level) core.Cycles {
 		// Decision cost is paid before the action runs, exactly as
 		// instrumented code would.
 		e.Clock.Advance(e.DecisionOverhead)
 		rep.CtrlCycles = rep.CtrlCycles.AddSat(e.DecisionOverhead)
-
-		cost := w.Cost(d.Action, d.Level)
+		cost := w.Cost(a, q)
 		e.Clock.Advance(cost)
 		rep.WorkCycles = rep.WorkCycles.AddSat(cost)
-		rep.Actions++
-		rep.LevelSum += int64(d.LevelIndex)
-		if d.Fallback {
-			rep.Fallbacks++
-		}
-
-		elapsed := e.Clock.Now().SubSat(start)
 		// The controller's view of time includes its own overhead: it
 		// reads the cycle register, it does not introspect.
-		ctrl.Completed(elapsed.SubSat(ctrl.Elapsed()))
-
-		if dl := sys.D.At(d.Level, d.Action); !dl.IsInf() && elapsed > dl {
-			rep.Misses++
-		}
-		if e.RecordTrace {
-			rep.Trace = append(rep.Trace, Step{Action: d.Action, Level: d.Level, Cost: cost, Finish: elapsed})
-		}
+		return e.Clock.Now().SubSat(start).SubSat(ctrl.Elapsed())
+	})
+	if err != nil {
+		return rep, fmt.Errorf("platform: controller: %w", err)
 	}
+	rep.Actions = res.Steps
+	rep.Misses = res.Misses
+	rep.Fallbacks = res.Fallbacks
+	rep.LevelSum = res.Stats.LevelSum
 	rep.Elapsed = e.Clock.Now().SubSat(start)
 	return rep, nil
 }
@@ -152,9 +117,6 @@ func (e *Executor) RunConstant(sys *core.System, q core.Level, w Workload) Repor
 		elapsed := e.Clock.Now().SubSat(start)
 		if !d[a].IsInf() && elapsed > d[a] {
 			rep.Misses++
-		}
-		if e.RecordTrace {
-			rep.Trace = append(rep.Trace, Step{Action: a, Level: q, Cost: cost, Finish: elapsed})
 		}
 	}
 	rep.Elapsed = e.Clock.Now().SubSat(start)

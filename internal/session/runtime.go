@@ -150,11 +150,6 @@ func (r *Runtime) RunCycle(w platform.Workload, obs ...Observer) (core.CycleResu
 	return s.Run(w)
 }
 
-// RunCycleFunc is RunCycle with a bare function workload.
-func (r *Runtime) RunCycleFunc(f func(core.ActionID, core.Level) core.Cycles, obs ...Observer) (core.CycleResult, error) {
-	return r.RunCycle(platform.WorkloadFunc(f), obs...)
-}
-
 // account folds a finished cycle into the served totals.
 func (r *Runtime) account(res *core.CycleResult) {
 	r.cycles.Add(1)

@@ -14,13 +14,13 @@ func TestRuntimeServesOneStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rt.RunCycleFunc(func(a core.ActionID, q core.Level) core.Cycles {
+	res, err := rt.RunCycle(platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 		return sys.Cav.At(q, a)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Misses != 0 || len(res.Trace) != 3 {
+	if res.Misses != 0 || res.Steps != 3 {
 		t.Fatalf("run: %+v", res)
 	}
 	st := rt.Stats()
@@ -115,9 +115,9 @@ func TestRuntimeConcurrentStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference result at a fixed load for determinism checking.
-	ref, err := rt.RunCycleFunc(func(a core.ActionID, q core.Level) core.Cycles {
+	ref, err := rt.RunCycle(platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 		return sys.Cav.At(q, a)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,9 @@ func TestRuntimeConcurrentStreams(t *testing.T) {
 				var err error
 				if c%2 == 0 {
 					// Deterministic cycle: must match the reference.
-					res, err = rt.RunCycleFunc(func(a core.ActionID, q core.Level) core.Cycles {
+					res, err = rt.RunCycle(platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 						return sys.Cav.At(q, a)
-					})
+					}))
 					if err == nil && (res.Elapsed != ref.Elapsed || res.MeanLevel() != ref.MeanLevel()) {
 						t.Errorf("stream %d cycle %d diverged: %v/%v vs %v/%v",
 							g, c, res.Elapsed, res.MeanLevel(), ref.Elapsed, ref.MeanLevel())
@@ -146,11 +146,11 @@ func TestRuntimeConcurrentStreams(t *testing.T) {
 					}
 				} else {
 					// Random in-contract load: hard mode guarantees no miss.
-					res, err = rt.RunCycleFunc(func(a core.ActionID, q core.Level) core.Cycles {
+					res, err = rt.RunCycle(platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 						av := sys.Cav.At(q, a)
 						wc := sys.Cwc.At(q, a)
 						return av + core.Cycles(rng.Float64()*float64(wc-av))
-					})
+					}))
 				}
 				if err != nil {
 					errs[g] = err
@@ -195,9 +195,9 @@ func TestRuntimeConcurrentObserversPerStream(t *testing.T) {
 			defer wg.Done()
 			obs := FuncObserver{Completion: func(core.Decision, core.Cycles, core.Cycles) { counts[g]++ }}
 			for c := 0; c < 50; c++ {
-				if _, err := rt.RunCycleFunc(func(a core.ActionID, q core.Level) core.Cycles {
+				if _, err := rt.RunCycle(platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles {
 					return sys.Cav.At(q, a)
-				}, obs); err != nil {
+				}), obs); err != nil {
 					t.Error(err)
 					return
 				}

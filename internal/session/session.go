@@ -143,11 +143,6 @@ type Session struct {
 	// refuse to serve; Err exposes it.
 	termErr error
 
-	// lean makes Run skip the per-cycle Trace/Assignment/Schedule
-	// snapshots (core.RunCycleLeanWith) so steady-state serving
-	// allocates nothing per cycle.
-	lean bool
-
 	// owner is the Runtime this session was acquired from (nil for
 	// stand-alone sessions). It is atomic so Runtime.Release can
 	// detach the session exactly once even under a racy double
@@ -287,18 +282,21 @@ func (s *Session) Completed(actual core.Cycles) {
 	}
 }
 
-// SetLean toggles lean serving: a lean Run skips the per-cycle
-// Schedule, Assignment and Trace snapshots (they stay nil in the
-// CycleResult) so the steady-state serving loop performs zero heap
-// allocations per cycle. Scalar results — Steps, Elapsed, Misses,
-// Fallbacks, Stats, MeanLevel — are unaffected. Observers still fire.
-func (s *Session) SetLean(lean bool) { s.lean = lean }
+// SetLean does nothing: every Run takes the one allocation-free cycle
+// loop.
+//
+// Deprecated: the benchmark module (qosbench) is its last caller; it
+// goes with the next change to that directory.
+func (s *Session) SetLean(bool) {}
 
-// Run drives one full cycle against the workload: for each step the
-// controller picks (action, level), the workload returns the consumed
-// cycles, and the controller observes the completion. Misses are
-// counted against D_θ; observers fire on every step. The session must
-// be at a cycle boundary (fresh, Reset, or just acquired).
+// Run drives one full cycle against the workload through
+// core.RunCycleLeanWith: for each step the controller picks (action,
+// level), the workload returns the consumed cycles, and the controller
+// observes the completion. Misses are counted against D_θ; observers
+// fire on every step; the loop itself allocates nothing. The session
+// must be at a cycle boundary (fresh, Reset, or just acquired): a
+// session whose cycle already ran returns an error and the owning
+// Runtime counts nothing.
 //
 // Run isolates workload panics: a panicking workload does not unwind
 // into the caller. Instead the controller is quarantined (a Runtime
@@ -315,11 +313,7 @@ func (s *Session) Run(w platform.Workload) (res core.CycleResult, err error) {
 			err = s.quarantine(cause)
 		}
 	}()
-	if s.lean {
-		res, err = core.RunCycleLeanWith(s, w.Cost)
-	} else {
-		res, err = core.RunCycleWith(s, w.Cost)
-	}
+	res, err = core.RunCycleLeanWith(s, w.Cost)
 	if err != nil {
 		return res, err
 	}

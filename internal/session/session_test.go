@@ -34,7 +34,7 @@ func TestSessionRunCountsAndHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Misses != 0 || len(res.Trace) != 3 {
+	if res.Misses != 0 || res.Steps != 3 {
 		t.Fatalf("run: %+v", res)
 	}
 	if decisions != 3 || completions != 3 || fallbacks != 0 {
@@ -52,53 +52,86 @@ func TestSessionRunCountsAndHooks(t *testing.T) {
 	}
 }
 
-// TestSessionLeanRun: a lean Run matches the full Run on every scalar
-// result, skips the snapshots, and allocates nothing per cycle in
+// TestSessionLeanRun: Run's scalar results agree with the decisions an
+// observer records, and a plain session's cycle allocates nothing in
 // steady state.
 func TestSessionLeanRun(t *testing.T) {
 	sys := demoSystem(t)
 	work := func(a core.ActionID, q core.Level) core.Cycles {
 		return sys.Cav.At(q, a)
 	}
-	full, err := NewSession(sys)
+	var decided []core.Decision
+	traced, err := NewSession(sys, WithObserver(FuncObserver{
+		Decision: func(d core.Decision) { decided = append(decided, d) },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fres, err := full.RunFunc(work)
+	tres, err := traced.RunFunc(work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := NewSession(sys)
+	var sum int
+	for _, d := range decided {
+		sum += d.LevelIndex
+	}
+	if tres.Steps != len(decided) || tres.Stats.Decisions != len(decided) {
+		t.Fatalf("Steps %d, Decisions %d, observed %d", tres.Steps, tres.Stats.Decisions, len(decided))
+	}
+	if want := float64(sum) / float64(len(decided)); tres.MeanLevel() != want {
+		t.Fatalf("MeanLevel %v, observed mean %v", tres.MeanLevel(), want)
+	}
+	plain, err := NewSession(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean.SetLean(true)
-	lres, err := lean.RunFunc(work)
+	pres, err := plain.RunFunc(work)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lres.Trace != nil || lres.Schedule != nil || lres.Assignment != nil {
-		t.Fatalf("lean run kept snapshots: %+v", lres)
-	}
-	if lres.Steps != fres.Steps || lres.Elapsed != fres.Elapsed ||
-		lres.Misses != fres.Misses || lres.Fallbacks != fres.Fallbacks ||
-		lres.Stats != fres.Stats {
-		t.Fatalf("lean scalars diverge:\nlean %+v\nfull %+v", lres, fres)
-	}
-	if lm, fm := lres.MeanLevel(), fres.MeanLevel(); lm != fm {
-		t.Fatalf("lean MeanLevel %v != full %v", lm, fm)
-	}
-	if fres.Steps != len(fres.Trace) {
-		t.Fatalf("Steps %d != len(Trace) %d", fres.Steps, len(fres.Trace))
+	if pres != tres {
+		t.Fatalf("observer changed the result:\nplain  %+v\ntraced %+v", pres, tres)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		lean.Reset()
-		if _, err := lean.RunFunc(work); err != nil {
+		plain.Reset()
+		if _, err := plain.RunFunc(work); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("lean steady-state cycle allocates %v times, want 0", allocs)
+		t.Fatalf("steady-state cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSessionRunWithoutResetFails: a second Run on a finished cycle is
+// refused instead of reporting an empty cycle with the previous
+// cycle's statistics, and the runtime counts nothing for it.
+func TestSessionRunWithoutResetFails(t *testing.T) {
+	sys := demoSystem(t)
+	rt, err := NewRuntime(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rt.Acquire()
+	defer rt.Release(s)
+	work := func(a core.ActionID, q core.Level) core.Cycles {
+		return sys.Cav.At(q, a)
+	}
+	if _, err := s.RunFunc(work); err != nil {
+		t.Fatal(err)
+	}
+	before := rt.Stats()
+	for i := 0; i < 2; i++ {
+		if res, err := s.RunFunc(work); err == nil {
+			t.Fatalf("Run %d without Reset succeeded: %+v", i+2, res)
+		}
+	}
+	if after := rt.Stats(); after.Cycles != before.Cycles || after.Actions != before.Actions {
+		t.Fatalf("runtime counted a cycle that ran nothing: before %+v, after %+v", before, after)
+	}
+	s.Reset()
+	if _, err := s.RunFunc(work); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
 	}
 }
 

@@ -100,8 +100,6 @@ type (
 	Decision = core.Decision
 	// CycleResult summarises a controlled cycle.
 	CycleResult = core.CycleResult
-	// StepTrace records one executed action of a cycle.
-	StepTrace = core.StepTrace
 	// ControllerStats accumulates per-cycle controller behaviour.
 	ControllerStats = core.ControllerStats
 	// Mode selects hard or soft constraint enforcement.
@@ -252,9 +250,6 @@ var (
 	WithSchedule = core.WithSchedule
 	// WithEvaluator installs a custom admissibility evaluator.
 	WithEvaluator = core.WithEvaluator
-	// WithReferenceScan forces the retained linear-scan reference path
-	// (for differential testing against the threshold engine).
-	WithReferenceScan = core.WithReferenceScan
 	// WithProgramCache attaches an LRU retarget cache to the program.
 	WithProgramCache = core.WithProgramCache
 	// NewProgramCache builds an LRU cache of re-targeted programs.
@@ -269,11 +264,9 @@ type (
 	// IterativeTables is the constant-memory evaluator for n-fold
 	// iterated bodies with an end-of-cycle deadline.
 	IterativeTables = core.IterativeTables
-	// Evaluator is the admissibility oracle interface.
+	// Evaluator is the admissibility oracle interface; its
+	// MaxAdmissibleLevel is the controller's decision.
 	Evaluator = core.Evaluator
-	// LevelSelector is the threshold fast path: the maximal admissible
-	// level in O(log|Q|) probes.
-	LevelSelector = core.LevelSelector
 	// ProgramCache is a small LRU of re-targeted programs keyed by
 	// deadline family.
 	ProgramCache = core.ProgramCache
