@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // chainSystem builds an n-action chain a0 → a1 → … with the given level
 // set, per-level execution cost (Cav = Cwc = cost[qi], identical for
@@ -75,6 +78,57 @@ func TestSparseLevelIndexAccounting(t *testing.T) {
 		}
 		if res.Misses != 0 || res.Fallbacks != 0 {
 			t.Errorf("tables=%v misses=%d fallbacks=%d", tables, res.Misses, res.Fallbacks)
+		}
+	}
+}
+
+// TestSparseLevelMissAccounting pins the loop's deadline read where a
+// level's value and its index differ: RunCycleLeanWith reads the
+// deadline through Decision.LevelIndex, and its miss count must equal
+// the one recounted here through D.At(Level). Each level index gets its
+// own deadline offset, so a read at the wrong level counts differently.
+// Seeded actual costs up to twice Cwc break the contract often enough
+// for misses at every level.
+func TestSparseLevelMissAccounting(t *testing.T) {
+	levels := LevelSet{0, 2, 5}
+	const n = 6
+	sys := chainSystem(t, levels, []Cycles{1, 5, 9}, n, 10)
+	for qi, q := range levels {
+		for a := 0; a < n; a++ {
+			sys.D.Set(q, ActionID(a), Cycles(a+1)*10+Cycles(3*qi))
+		}
+	}
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, tables := range []bool{true, false} {
+		c := mustController(t, sys, WithTables(tables))
+		missesAt := make([]int, len(levels))
+		for run := 0; run < 200; run++ {
+			c.Reset()
+			var elapsed Cycles
+			want := 0
+			res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+				actual := Cycles(r.Intn(19))
+				elapsed += actual
+				if d := sys.D.At(q, a); !d.IsInf() && elapsed > d {
+					want++
+					missesAt[levels.Index(q)]++
+				}
+				return actual
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Misses != want {
+				t.Fatalf("tables=%v run %d: RunCycle counted %d misses, D.At(Level) counts %d", tables, run, res.Misses, want)
+			}
+		}
+		for qi, m := range missesAt {
+			if m == 0 {
+				t.Errorf("tables=%v: no miss at level %d (index %d); the test does not pin its deadline read", tables, levels[qi], qi)
+			}
 		}
 	}
 }

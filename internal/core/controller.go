@@ -220,6 +220,9 @@ type Controller struct {
 	// and are written on every decision from different goroutines;
 	// unpadded (144 bytes) one instance's stats share a cache line with
 	// the next instance's prog and alpha, which every decision reads.
+	// Measured on a 2-vCPU VM (qosbench embedded, seed 42, 2 pairs):
+	// without the pad the ladder's two adjacent sessions cycling at
+	// once (mixer.contended_cycle_ns) take 13.1 µs against 8.2 µs.
 	_ [48]byte
 }
 
@@ -467,16 +470,15 @@ func (c *Controller) Next() (Decision, error) {
 	if c.Done() {
 		return Decision{}, errCycleComplete
 	}
-	c.stats.Decisions++
-	levels := c.prog.sys.Levels
+	p := c.prog
+	levels := p.sys.Levels
 	hi := len(levels) - 1
-	if c.prog.maxStep > 0 && c.last >= 0 {
-		if lim := c.last + c.prog.maxStep; lim < hi {
-			hi = lim
-		}
+	last := c.last
+	if p.maxStep > 0 && last >= 0 && last+p.maxStep < hi {
+		hi = last + p.maxStep
 	}
-	chosen := -1
-	if c.prog.useTables {
+	chosen, probes := -1, 0
+	if p.useTables {
 		// The evaluator yields the maximal admissible level directly
 		// (O(log|Q|) probes over the precomputed slack thresholds; zero
 		// allocations).
@@ -484,25 +486,26 @@ func (c *Controller) Next() (Decision, error) {
 		if c.dshift != 0 {
 			teff = teff.SubSat(c.dshift)
 		}
-		var probes int
-		chosen, probes = c.prog.eval.MaxAdmissibleLevel(c.i, hi, teff, c.prog.mode == Soft)
-		c.stats.CandidateEval += probes
+		chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
 	} else {
 		for qi := hi; qi >= 0; qi-- {
-			c.stats.CandidateEval++
+			probes++
 			if c.allowedDirect(qi) { //qos:alloc-ok live path when deadline order depends on quality: no fixed order to precompute tables along, so each probe re-derives Best_Sched
 				chosen = qi
 				break
 			}
 		}
 	}
-	d := Decision{}
+	st := &c.stats
+	st.Decisions++
+	st.CandidateEval += probes
+	d := Decision{Action: c.alpha[c.i]}
 	if chosen < 0 {
 		// The environment exceeded its worst-case contract (or the soft
 		// system is overloaded). Degrade to qmin and continue.
 		chosen = 0
 		d.Fallback = true
-		c.stats.Fallbacks++
+		st.Fallbacks++
 	}
 	q := levels[chosen]
 	// Commit: θ := θ ▷_i qM. Only the executed action's level needs to
@@ -510,24 +513,22 @@ func (c *Controller) Next() (Decision, error) {
 	// and is overridden anyway by the next decision's θ ▷ q. α is
 	// unchanged (table path) or was re-derived by Best_Sched in
 	// allowedDirect (direct path).
-	c.theta[c.alpha[c.i]] = q
+	c.theta[d.Action] = q
 	c.tail = q
-	d.Action = c.alpha[c.i]
 	d.Level = q
 	d.LevelIndex = chosen
-	if c.last >= 0 && chosen != c.last {
-		c.stats.LevelChanges++
+	if last >= 0 && chosen != last {
+		st.LevelChanges++
 	}
+	st.LevelSum += int64(chosen)
 	if d.Fallback {
 		// A forced fallback is not a level the controller chose or
 		// sustained: reset the smoothness baseline so the recovery is
 		// not rate-limited (WithMaxStep) from qmin, exactly as at cycle
 		// start.
-		c.last = -1
-	} else {
-		c.last = chosen
+		chosen = -1
 	}
-	c.stats.LevelSum += int64(chosen)
+	c.last = chosen
 	return d, nil
 }
 
@@ -597,6 +598,8 @@ var errCycleComplete = errors.New("core: cycle complete; Reset before reuse")
 // layer and the platform executor; it performs no heap allocation. The
 // driver must be at the start of a cycle: one that is already Done
 // returns the error Next would.
+//
+//qos:hotpath
 func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
 	res := CycleResult{}
 	if c.Done() {
@@ -609,7 +612,7 @@ func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleRe
 			return res, err
 		}
 		actual := exec(d.Action, d.Level)
-		deadline := sys.D.At(d.Level, d.Action)
+		deadline := sys.D.Fns[d.LevelIndex][d.Action]
 		c.Completed(actual)
 		if !deadline.IsInf() && c.Elapsed() > deadline {
 			res.Misses++

@@ -193,8 +193,21 @@ func (s LevelSet) Min() Level { return s[0] }
 // Max returns the largest level.
 func (s LevelSet) Max() Level { return s[len(s)-1] }
 
-// Index returns the position of q in s, or -1.
+// Index returns the position of q in s, or -1. It is O(1) when q sits
+// at offset q−s[0], which holds for every level of a contiguous range
+// (all a .qos model can declare) and for the levels below a sparse
+// set's first gap; any other q takes the linear scan. On a Valid set
+// the two agree: strictly ascending levels put q nowhere but at that
+// offset or after it. The scan stays in line: a call to an out-of-line
+// scan would cost Index its inlining.
+//
+//qos:hotpath
 func (s LevelSet) Index(q Level) int {
+	if len(s) > 0 {
+		if i := uint(q - s[0]); i < uint(len(s)) && s[i] == q {
+			return int(i)
+		}
+	}
 	for i, v := range s {
 		if v == q {
 			return i
@@ -246,10 +259,12 @@ func (t *TimeFamily) Clone() *TimeFamily {
 }
 
 // At returns X_q(a).
+//
+//qos:hotpath
 func (t *TimeFamily) At(q Level, a ActionID) Cycles {
 	i := t.Levels.Index(q)
 	if i < 0 {
-		panic(fmt.Sprintf("core: level %d not in level set %v", q, t.Levels))
+		t.missing(q) //qos:alloc-ok panic message for a level outside the set; a valid call never reaches it
 	}
 	return t.Fns[i][a]
 }
@@ -261,9 +276,18 @@ func (t *TimeFamily) AtIndex(i int) TimeFn { return t.Fns[i] }
 func (t *TimeFamily) Set(q Level, a ActionID, v Cycles) {
 	i := t.Levels.Index(q)
 	if i < 0 {
-		panic(fmt.Sprintf("core: level %d not in level set %v", q, t.Levels))
+		t.missing(q)
 	}
 	t.Fns[i][a] = v
+}
+
+// missing panics for a level q that is not in the family's level set.
+// It is kept out of line so that the message formatting stays off the
+// lookup paths of At and Set.
+//
+//go:noinline
+func (t *TimeFamily) missing(q Level) {
+	panic(fmt.Sprintf("core: level %d not in level set %v", q, t.Levels))
 }
 
 // SetAll assigns X_q(a) = v for every q.

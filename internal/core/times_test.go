@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +115,181 @@ func TestTimeFamilyPanicsOnUnknownLevel(t *testing.T) {
 		}
 	}()
 	fam.At(9, 0)
+}
+
+// scanIndex is the linear scan LevelSet.Index answered with before its
+// O(1) offset lookup: the oracle of TestLevelSetIndexMatchesScan.
+func scanIndex(s LevelSet, q Level) int {
+	for i, v := range s {
+		if v == q {
+			return i
+		}
+	}
+	return -1
+}
+
+// onFastPath reports whether Index answers q from the offset q−s[0]
+// without scanning.
+func onFastPath(s LevelSet, q Level) bool {
+	i := int(q - s[0])
+	return i >= 0 && i < len(s) && s[i] == q
+}
+
+// indexTestSets are Valid level sets for the lookup tests: contiguous
+// ranges with zero, positive and negative lows, and non-contiguous sets
+// whose members partly or wholly miss the offset lookup.
+var indexTestSets = []LevelSet{
+	{0},
+	{7},
+	NewLevelRange(0, 7),
+	NewLevelRange(3, 9),
+	NewLevelRange(-4, 2),
+	{0, 2, 5},
+	{-3, 1, 9},
+	{0, 1, 2, 6, 7},
+	{-10, -9, -2},
+	{math.MinInt + 1, 0, math.MaxInt},
+}
+
+// TestLevelSetIndexMatchesScan holds Index to the linear scan on Valid
+// sets, fixed and random, for every member and for levels below,
+// between and above them (which must give -1).
+func TestLevelSetIndexMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	sets := append([]LevelSet(nil), indexTestSets...)
+	for k := 0; k < 200; k++ {
+		// A random strictly ascending set: a low in [-20, 20] and gaps
+		// of 1 to 3, so contiguous runs and holes both occur.
+		s := LevelSet{Level(r.Intn(41) - 20)}
+		for n := r.Intn(8); n > 0; n-- {
+			s = append(s, s[len(s)-1]+Level(1+r.Intn(3)))
+		}
+		sets = append(sets, s)
+	}
+	var fast, slow, absent int
+	for _, s := range sets {
+		if !s.Valid() {
+			t.Fatalf("test set %v is not Valid", s)
+		}
+		probes := []Level{math.MinInt, math.MaxInt, s.Min() - 1, s.Max() + 1, s.Min() - 100, s.Max() + 100}
+		for _, v := range s {
+			probes = append(probes, v-1, v, v+1)
+		}
+		for _, q := range probes {
+			got, want := s.Index(q), scanIndex(s, q)
+			if got != want {
+				t.Errorf("%v.Index(%d) = %d, scan gives %d", s, q, got, want)
+			}
+			if got := s.Contains(q); got != (want >= 0) {
+				t.Errorf("%v.Contains(%d) = %v, want %v", s, q, got, want >= 0)
+			}
+			switch {
+			case want < 0:
+				absent++
+			case onFastPath(s, q):
+				fast++
+			default:
+				slow++
+			}
+		}
+	}
+	if fast == 0 || slow == 0 || absent == 0 {
+		t.Fatalf("lookups on the fast path %d, scanned %d, absent %d: want all three exercised", fast, slow, absent)
+	}
+	for _, tc := range []struct {
+		s    LevelSet
+		q    Level
+		want int
+	}{
+		{LevelSet{0, 2, 5}, 2, 1},
+		{LevelSet{0, 2, 5}, 5, 2},
+		{LevelSet{0, 2, 5}, 1, -1},
+		{LevelSet{0, 2, 5}, 3, -1},
+		{LevelSet{0, 2, 5}, 6, -1},
+		{LevelSet{0, 2, 5}, -1, -1},
+		{LevelSet{-3, 1, 9}, -3, 0},
+		{LevelSet{-3, 1, 9}, 1, 1},
+		{LevelSet{-3, 1, 9}, 9, 2},
+		{LevelSet{-3, 1, 9}, -1, -1},
+		{LevelSet{-3, 1, 9}, -4, -1},
+		{LevelSet{-3, 1, 9}, 10, -1},
+		{NewLevelRange(-4, 2), -4, 0},
+		{NewLevelRange(-4, 2), 2, 6},
+		{NewLevelRange(-4, 2), 3, -1},
+		{LevelSet{}, 0, -1},
+	} {
+		if got := tc.s.Index(tc.q); got != tc.want {
+			t.Errorf("%v.Index(%d) = %d, want %d", tc.s, tc.q, got, tc.want)
+		}
+	}
+}
+
+// TestTimeFamilyAtFastAndSlowPaths checks that At and Set reach the same
+// function on both lookup paths: every entry holds a value unique to
+// its level index and action.
+func TestTimeFamilyAtFastAndSlowPaths(t *testing.T) {
+	const n = 3
+	var fast, slow int
+	for _, levels := range indexTestSets {
+		fam := NewTimeFamily(levels, n, 0)
+		for i := range fam.Fns {
+			for a := range fam.Fns[i] {
+				fam.Fns[i][a] = Cycles(100*i + a)
+			}
+		}
+		for i, q := range levels {
+			if onFastPath(levels, q) {
+				fast++
+			} else {
+				slow++
+			}
+			for a := ActionID(0); a < n; a++ {
+				if got, want := fam.At(q, a), Cycles(100*i+int(a)); got != want {
+					t.Errorf("levels %v: At(%d, %d) = %v, want %v", levels, q, a, got, want)
+				}
+				fam.Set(q, a, -Cycles(100*i+int(a)))
+				if got := fam.Fns[i][a]; got != -Cycles(100*i+int(a)) {
+					t.Errorf("levels %v: Set(%d, %d) wrote %v to index %d", levels, q, a, got, i)
+				}
+			}
+		}
+	}
+	if fast == 0 || slow == 0 {
+		t.Fatalf("levels on the fast path %d, scanned %d: want both exercised", fast, slow)
+	}
+}
+
+// TestTimeFamilyMissingLevelMessage pins the panic of At and Set for a
+// level outside the set, on both lookup paths and on an empty set.
+func TestTimeFamilyMissingLevelMessage(t *testing.T) {
+	for _, tc := range []struct {
+		levels LevelSet
+		q      Level
+	}{
+		{NewLevelRange(0, 1), 9},
+		{NewLevelRange(0, 1), -1},
+		{LevelSet{0, 2, 5}, 1},
+		{LevelSet{0, 2, 5}, 3},
+		{LevelSet{-3, 1, 9}, 0},
+		{LevelSet{}, 0},
+		{nil, 4},
+	} {
+		fam := NewTimeFamily(tc.levels, 1, 0)
+		want := fmt.Sprintf("core: level %d not in level set %v", tc.q, fam.Levels)
+		for name, op := range map[string]func(){
+			"At":  func() { fam.At(tc.q, 0) },
+			"Set": func() { fam.Set(tc.q, 0, 1) },
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s(%d) on %v panicked with %v, want %q", name, tc.q, tc.levels, got, want)
+					}
+				}()
+				op()
+			}()
+		}
+	}
 }
 
 func TestNonDecreasing(t *testing.T) {
