@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -55,18 +56,20 @@ func main() {
 }
 
 func emitBodyModel(outDir string, stdout bool, iterate int, budget core.Cycles) error {
+	// The model is built in memory first, so that rejected arguments
+	// leave an existing mpeg_body.qos as it was.
+	var buf bytes.Buffer
+	if err := mpeg.WriteBodyModel(&buf, iterate, budget); err != nil {
+		return err
+	}
 	if stdout || outDir == "" {
-		return mpeg.WriteBodyModel(os.Stdout, iterate, budget)
+		_, err := os.Stdout.Write(buf.Bytes())
+		return err
 	}
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(outDir, "mpeg_body.qos"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return mpeg.WriteBodyModel(f, iterate, budget)
+	return os.WriteFile(filepath.Join(outDir, "mpeg_body.qos"), buf.Bytes(), 0o644)
 }
 
 func run(modelPath, outDir string, stdout bool) error {

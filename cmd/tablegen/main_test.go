@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/codegen"
+	"repro/internal/mpeg"
 )
 
 const model = `
@@ -88,5 +92,37 @@ func TestEmitBodyModelRejectsBadArgs(t *testing.T) {
 	}
 	if err := emitBodyModel(t.TempDir(), false, 8, 0); err == nil {
 		t.Error("budget 0 accepted")
+	}
+}
+
+// TestEmitBodyModelBoundsIterate holds -emit-mpeg-body to the model
+// sizes codegen.Parse accepts: the largest iterate count writes a model
+// that parses, one more is rejected and leaves the file in place.
+func TestEmitBodyModelBoundsIterate(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "mpeg_body.qos")
+	if err := emitBodyModel(dir, false, mpeg.MaxIterate, 2_500_000); err != nil {
+		t.Fatalf("iterate %d: %v", mpeg.MaxIterate, err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := codegen.Parse(bytes.NewReader(written))
+	if err != nil {
+		t.Fatalf("iterate %d: the written model does not parse: %v", mpeg.MaxIterate, err)
+	}
+	if got := len(m.Actions) * m.Iterate; got > codegen.MaxActions {
+		t.Fatalf("iterate %d: %d actions, above codegen.MaxActions %d", mpeg.MaxIterate, got, codegen.MaxActions)
+	}
+	if err := emitBodyModel(dir, false, mpeg.MaxIterate+1, 2_500_000); err == nil {
+		t.Fatalf("iterate %d accepted", mpeg.MaxIterate+1)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, written) {
+		t.Error("a rejected iterate count rewrote mpeg_body.qos")
 	}
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,6 +61,75 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("accepted: %s", c.src)
 			}
 		})
+	}
+}
+
+// TestParseBoundsModelSize holds Parse to MaxLevels and MaxActions: a
+// level range or an iterated action count past them is an error, not a
+// makeslice panic or a build that does not finish, and the largest
+// model inside both bounds still builds a controller.
+func TestParseBoundsModelSize(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		ok        bool
+	}{
+		{"max int level range", "levels 0 9223372036854775807\naction a\n", false},
+		{"full int level range", "levels -9223372036854775808 9223372036854775807\naction a\n", false},
+		{"levels past the bound", fmt.Sprintf("levels 1 %d\naction a\n", MaxLevels+1), false},
+		{"levels at the bound", fmt.Sprintf("levels 1 %d\naction a\n", MaxLevels), true},
+		{"levels at the top of int", "levels 9223372036854775800 9223372036854775807\naction a\n", true},
+		{"huge iterate", "levels 0 1\naction a\niterate 1000000000\n", false},
+		{"max int iterate", "levels 0 1\naction a\niterate 9223372036854775807\n", false},
+		{"iterate past the bound", fmt.Sprintf("levels 0 1\naction a\naction b\niterate %d\n", MaxActions/2+1), false},
+		{"iterate at the bound", fmt.Sprintf("levels 0 1\naction a\naction b\niterate %d\n", MaxActions/2), true},
+		{"iterate before the actions", fmt.Sprintf("iterate %d\nlevels 0 1\naction a\naction b\n", MaxActions), false},
+		{"largest model", fmt.Sprintf("levels 0 %d\naction a\ntime a * 1 2\niterate %d\n", MaxLevels-1, MaxActions), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := Parse(strings.NewReader(c.src))
+			if !c.ok {
+				if err == nil {
+					t.Fatalf("accepted: %q", c.src)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Levels) > MaxLevels || len(m.Actions)*m.Iterate > MaxActions {
+				t.Fatalf("%d levels, %d actions × %d accepted", len(m.Levels), len(m.Actions), m.Iterate)
+			}
+			sys, err := m.BuildSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.NewController(sys); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestExampleModelsParse parses and builds every model under
+// examples/models.
+func TestExampleModelsParse(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "models", "*.qos"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example models: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := m.BuildSystem(); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
 }
 

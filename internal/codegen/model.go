@@ -29,6 +29,20 @@ import (
 	"repro/internal/core"
 )
 
+// Parse bounds the size of the system a model may describe, so that a
+// hostile or mistyped model is an error rather than an allocation that
+// does not fit in memory or a build that does not finish.
+const (
+	// MaxLevels bounds the quality levels of a levels directive: far
+	// above the paper's eight, and small enough that every time family
+	// and constraint table stays at most MaxLevels·MaxActions entries.
+	MaxLevels = 256
+	// MaxActions bounds the actions of the built system, body actions
+	// times the iterate count: a CIF frame of 396 macroblocks at nine
+	// actions each (3564) fits.
+	MaxActions = 4096
+)
+
 // Model is the parsed tool input.
 type Model struct {
 	Levels  core.LevelSet
@@ -73,6 +87,11 @@ func Parse(r io.Reader) (*Model, error) {
 			hi, err2 := strconv.Atoi(fields[2])
 			if err1 != nil || err2 != nil || hi < lo {
 				return nil, fail("bad level range %q %q", fields[1], fields[2])
+			}
+			// hi ≥ lo, so the unsigned difference is exact even where
+			// the signed one overflows.
+			if uint(hi)-uint(lo) >= MaxLevels {
+				return nil, fail("level range %d..%d has more than %d levels", lo, hi, MaxLevels)
 			}
 			m.Levels = core.NewLevelRange(core.Level(lo), core.Level(hi))
 		case "action":
@@ -133,6 +152,9 @@ func Parse(r io.Reader) (*Model, error) {
 	}
 	if len(m.Actions) == 0 {
 		return nil, fmt.Errorf("codegen: model has no actions")
+	}
+	if len(m.Actions) > MaxActions/m.Iterate {
+		return nil, fmt.Errorf("codegen: %d actions iterated %d times exceed %d actions", len(m.Actions), m.Iterate, MaxActions)
 	}
 	return m, nil
 }

@@ -470,6 +470,11 @@ func (c *Controller) Next() (Decision, error) {
 	if c.Done() {
 		return Decision{}, errCycleComplete
 	}
+	return c.decide(), nil
+}
+
+// decide is Next on a controller whose cycle is not Done.
+func (c *Controller) decide() Decision {
 	p := c.prog
 	levels := p.sys.Levels
 	hi := len(levels) - 1
@@ -529,7 +534,7 @@ func (c *Controller) Next() (Decision, error) {
 		chosen = -1
 	}
 	c.last = chosen
-	return d, nil
+	return d
 }
 
 func (c *Controller) allowedDirect(qi int) bool {
@@ -575,46 +580,65 @@ func (c *Controller) Preempt(dt Cycles) {
 	}
 }
 
-// CycleDriver is the decision-loop surface RunCycleLeanWith drives: a
-// Controller, or any wrapper (e.g. a session with observer hooks) that
-// forwards to one.
-type CycleDriver interface {
-	Done() bool
-	Next() (Decision, error)
-	Completed(Cycles)
-	Elapsed() Cycles
-	Stats() ControllerStats
-	System() *System
+// StepObserver receives the events of every step of a cycle run by
+// RunCycleObserved: the decision, the fallback (after OnDecision) when
+// no level was admissible, and the completion with the action's actual
+// cost and the cycle time elapsed after it.
+type StepObserver interface {
+	// OnDecision fires after every controller decision.
+	OnDecision(d Decision)
+	// OnFallback fires (after OnDecision) when no level was admissible
+	// and the controller degraded to qmin.
+	OnFallback(d Decision)
+	// OnCompletion fires when the decided action completes: actual is
+	// the observed cost of this action, elapsed the cycle time so far.
+	OnCompletion(d Decision, actual, elapsed Cycles)
 }
 
-// errCycleComplete is returned by Next and RunCycleLeanWith on a driver
-// whose cycle already ran to the end.
+// errCycleComplete is returned by Next and the cycle loop on a
+// controller whose cycle already ran to the end.
 var errCycleComplete = errors.New("core: cycle complete; Reset before reuse")
 
 // RunCycleLeanWith drives c through a full cycle against exec, which
 // runs one action at a quality and returns the actual cycles consumed.
-// Misses are counted against D_θ at the driver's elapsed time. This is
-// the one decision loop, shared by Controller.RunCycle, the session
-// layer and the platform executor; it performs no heap allocation. The
-// driver must be at the start of a cycle: one that is already Done
-// returns the error Next would.
+// It is RunCycleObserved without an observer.
 //
 //qos:hotpath
-func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
+func RunCycleLeanWith(c *Controller, exec func(ActionID, Level) Cycles) (CycleResult, error) {
+	return RunCycleObserved(c, nil, exec)
+}
+
+// RunCycleObserved drives c through a full cycle against exec, which
+// runs one action at a quality and returns the actual cycles consumed,
+// and reports every step to obs unless it is nil. Misses are counted
+// against D_θ at the controller's elapsed time. This is the one
+// decision loop, shared by Controller.RunCycle, the session layer and
+// the platform executor; it performs no heap allocation. The controller
+// must be at the start of a cycle: one that is already Done returns the
+// error Next would.
+//
+//qos:hotpath
+func RunCycleObserved(c *Controller, obs StepObserver, exec func(ActionID, Level) Cycles) (CycleResult, error) {
 	res := CycleResult{}
 	if c.Done() {
 		return res, errCycleComplete
 	}
-	sys := c.System()
+	sys := c.prog.sys
 	for !c.Done() {
-		d, err := c.Next()
-		if err != nil {
-			return res, err
+		d := c.decide()
+		if obs != nil {
+			obs.OnDecision(d)
+			if d.Fallback {
+				obs.OnFallback(d)
+			}
 		}
 		actual := exec(d.Action, d.Level)
 		deadline := sys.D.Fns[d.LevelIndex][d.Action]
 		c.Completed(actual)
-		if !deadline.IsInf() && c.Elapsed() > deadline {
+		if obs != nil {
+			obs.OnCompletion(d, actual, c.t)
+		}
+		if !deadline.IsInf() && c.t > deadline {
 			res.Misses++
 		}
 		if d.Fallback {
@@ -622,13 +646,19 @@ func RunCycleLeanWith(c CycleDriver, exec func(ActionID, Level) Cycles) (CycleRe
 		}
 		res.Steps++
 	}
-	res.Elapsed = c.Elapsed()
-	res.Stats = c.Stats()
+	res.Elapsed = c.t
+	res.Stats = c.stats
 	return res, nil
 }
 
 // RunCycle drives a full cycle against exec; see RunCycleLeanWith.
 func (c *Controller) RunCycle(exec func(ActionID, Level) Cycles) (CycleResult, error) {
+	return RunCycleLeanWith(c, exec)
+}
+
+// RunFunc is RunCycle under the name a Session runs a function workload
+// by, so that both are a platform.Cycler.
+func (c *Controller) RunFunc(exec func(ActionID, Level) Cycles) (CycleResult, error) {
 	return RunCycleLeanWith(c, exec)
 }
 

@@ -78,8 +78,9 @@ func refMul(a, b Cycles) Cycles {
 	return clampBig(new(big.Int).Mul(big.NewInt(int64(a)), big.NewInt(int64(b))))
 }
 
-// fuzzSeeds are the corner values every arithmetic target starts from.
-var fuzzSeeds = [][2]int64{
+// fuzzSeeds are the corner values every arithmetic target starts from,
+// with the fast-path boundary pairs appended.
+var fuzzSeeds = append([][2]int64{
 	{0, 0},
 	{1, -1},
 	{int64(Inf), 5},
@@ -91,6 +92,30 @@ var fuzzSeeds = [][2]int64{
 	{-(math.MaxInt64 - 1), -2},
 	{3037000500, 3037000500},
 	{1 << 32, 1 << 31},
+}, fastPathSeeds()...)
+
+// fastPathSeeds straddle the split between the in-line fast path of
+// AddSat and SubSat, operands in [−2⁶¹, 2⁶¹), and their out-of-line
+// helpers: ±2⁶¹ and ±(2⁶¹−1) against each other and against Inf,
+// NegInf and math.MinInt64, and pairs whose sum or difference reaches
+// ±2⁶².
+func fastPathSeeds() [][2]int64 {
+	const b = 1 << 61
+	edges := []int64{b, b - 1, -b, -(b - 1)}
+	var out [][2]int64
+	for _, x := range edges {
+		for _, y := range edges {
+			out = append(out, [2]int64{x, y})
+		}
+		for _, y := range []int64{int64(Inf), int64(NegInf), math.MinInt64} {
+			out = append(out, [2]int64{x, y}, [2]int64{y, x})
+		}
+	}
+	return append(out,
+		[2]int64{b - 1, b + 1}, [2]int64{-(b - 1), -(b + 1)},
+		[2]int64{2 * b, 0}, [2]int64{-2 * b, 0},
+		[2]int64{2*b - 1, 1}, [2]int64{-2 * b, -1}, [2]int64{-2 * b, -2 * b},
+	)
 }
 
 func checkDomain(t *testing.T, op string, a, b, got Cycles) {

@@ -49,10 +49,33 @@ func (c Cycles) norm() Cycles {
 	return c
 }
 
+// fastBound bounds the operands that AddSat and SubSat handle in line.
+// Two operands in [−fastBound, fastBound) have a sum and a difference
+// in [−2⁶², 2⁶²], far from both infinities, so the raw result is
+// already the saturating one. Every real cycle count is in range; the
+// infinities and the overflow cases take the out-of-line helpers.
+//
+// The range test shifts both operands up by fastBound, where a value in
+// range lands in [0, 2·fastBound); 2·fastBound is a power of two, so
+// both land there exactly when their OR does. It is written as one
+// expression because a helper call would cost AddSat its inlining.
+const fastBound = 1 << 61
+
 // AddSat returns c+d, saturating at Inf and NegInf. +∞ dominates:
 // Inf.AddSat(NegInf) is Inf, matching the admissibility reading where a
-// +∞ bound is never binding.
+// +∞ bound is never binding. Operands in [−2⁶¹, 2⁶¹) take an inlined
+// fast path (see fastBound).
+//
+//qos:hotpath
 func (c Cycles) AddSat(d Cycles) Cycles {
+	if uint64((c+fastBound)|(d+fastBound)) < 2*fastBound {
+		return c + d
+	}
+	return c.addSat(d)
+}
+
+// addSat is AddSat over the whole int64 domain.
+func (c Cycles) addSat(d Cycles) Cycles {
 	if c.IsInf() || d.IsInf() {
 		return Inf
 	}
@@ -75,8 +98,19 @@ func (c Cycles) AddSat(d Cycles) Cycles {
 // minuend (Inf minus anything is Inf); a +∞ subtrahend against a
 // non-infinite minuend yields NegInf — a finite value can never meet a
 // +∞ cost, and the −∞ result stays pinned under further saturating
-// arithmetic.
+// arithmetic. Operands in [−2⁶¹, 2⁶¹) take an inlined fast path (see
+// fastBound).
+//
+//qos:hotpath
 func (c Cycles) SubSat(d Cycles) Cycles {
+	if uint64((c+fastBound)|(d+fastBound)) < 2*fastBound {
+		return c - d
+	}
+	return c.subSat(d)
+}
+
+// subSat is SubSat over the whole int64 domain.
+func (c Cycles) subSat(d Cycles) Cycles {
 	if c.IsInf() {
 		return Inf
 	}
@@ -180,9 +214,9 @@ func NewLevelRange(lo, hi Level) LevelSet {
 	if hi < lo {
 		return nil
 	}
-	s := make(LevelSet, 0, hi-lo+1)
-	for q := lo; q <= hi; q++ {
-		s = append(s, q)
+	s := make(LevelSet, hi-lo+1)
+	for i := range s {
+		s[i] = lo + Level(i)
 	}
 	return s
 }
@@ -258,36 +292,38 @@ func (t *TimeFamily) Clone() *TimeFamily {
 	return &TimeFamily{Levels: append(LevelSet(nil), t.Levels...), Fns: fns}
 }
 
-// At returns X_q(a).
+// At returns X_q(a). A level at its offset q − qmin in the level set
+// (every level of a contiguous range) is answered in line; any other
+// level goes to index.
 //
 //qos:hotpath
 func (t *TimeFamily) At(q Level, a ActionID) Cycles {
-	i := t.Levels.Index(q)
-	if i < 0 {
-		t.missing(q) //qos:alloc-ok panic message for a level outside the set; a valid call never reaches it
+	if s := t.Levels; len(s) > 0 {
+		if i := uint(q - s[0]); i < uint(len(s)) && s[i] == q {
+			return t.Fns[i][a]
+		}
 	}
-	return t.Fns[i][a]
+	return t.Fns[t.index(q)][a]
 }
 
 // AtIndex returns the function at level index i (0 = qmin).
 func (t *TimeFamily) AtIndex(i int) TimeFn { return t.Fns[i] }
 
 // Set assigns X_q(a) = v.
-func (t *TimeFamily) Set(q Level, a ActionID, v Cycles) {
-	i := t.Levels.Index(q)
-	if i < 0 {
-		t.missing(q)
-	}
-	t.Fns[i][a] = v
-}
+func (t *TimeFamily) Set(q Level, a ActionID, v Cycles) { t.Fns[t.index(q)][a] = v }
 
-// missing panics for a level q that is not in the family's level set.
-// It is kept out of line so that the message formatting stays off the
-// lookup paths of At and Set.
+// index returns q's position in the family's level set and panics for a
+// level that is not in it. It is kept out of line so that the scan and
+// the message formatting stay out of At, which answers the common case
+// itself.
 //
 //go:noinline
-func (t *TimeFamily) missing(q Level) {
-	panic(fmt.Sprintf("core: level %d not in level set %v", q, t.Levels))
+func (t *TimeFamily) index(q Level) int {
+	i := t.Levels.Index(q)
+	if i < 0 {
+		panic(fmt.Sprintf("core: level %d not in level set %v", q, t.Levels)) //qos:alloc-ok panic message for a level outside the set; a valid call never reaches it
+	}
+	return i
 }
 
 // SetAll assigns X_q(a) = v for every q.

@@ -78,7 +78,7 @@ func TestExecutorMatchesCoreLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := NewWorkload(&f, twin.frameRNG(f.Index))
-				res, err := core.RunCycleLeanWith(twin.Sess, func(a core.ActionID, q core.Level) core.Cycles {
+				res, err := core.RunCycleLeanWith(twin.Sess.Controller(), func(a core.ActionID, q core.Level) core.Cycles {
 					return w.Cost(a, q).AddSat(ov)
 				})
 				if err != nil {

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
 )
+
+// MaxIterate is the largest iterate count WriteBodyModel accepts: the
+// most macroblock bodies whose actions codegen.Parse still builds.
+const MaxIterate = codegen.MaxActions / NumActions
 
 // WriteBodyModel emits the macroblock-body model (the figure 2 graph
 // with the figure 5 execution times) in the codegen text format:
@@ -17,6 +22,9 @@ import (
 func WriteBodyModel(w io.Writer, iterate int, budget core.Cycles) error {
 	if iterate < 1 {
 		return fmt.Errorf("mpeg: iterate %d must be positive", iterate)
+	}
+	if iterate > MaxIterate {
+		return fmt.Errorf("mpeg: iterate %d exceeds %d: the model would have more than codegen.MaxActions actions", iterate, MaxIterate)
 	}
 	if budget <= 0 {
 		return fmt.Errorf("mpeg: budget %v must be positive", budget)

@@ -63,16 +63,25 @@ func (r Report) OverheadFraction() float64 {
 	return float64(r.CtrlCycles) / float64(r.Elapsed)
 }
 
-// RunControlled executes one full cycle driven by the controller
-// through core.RunCycleLeanWith: for each step the controller picks
-// (action, level), the clock pays the decision overhead and then the
-// workload's cycles, and the controller observes the completion time on
-// the clock. Misses are counted against the controller's time. The
-// controller must be at the start of a cycle (fresh or Reset).
-func (e *Executor) RunControlled(ctrl core.CycleDriver, w Workload) (Report, error) {
+// Cycler runs one controlled cycle at a time against exec, which runs
+// one action at a quality and returns the cycles the controller should
+// see it consume. *core.Controller and *session.Session satisfy it.
+type Cycler interface {
+	RunFunc(exec func(core.ActionID, core.Level) core.Cycles) (core.CycleResult, error)
+	Elapsed() core.Cycles
+}
+
+// RunControlled executes one full cycle driven by the controller: for
+// each step the controller picks (action, level), the clock pays the
+// decision overhead and then the workload's cycles, and the controller
+// observes the completion time on the clock. Misses are counted
+// against the controller's time. The controller must be at the start
+// of a cycle (fresh or Reset). A *session.Session runs the cycle as
+// Session.Run does, with its observers and its panic isolation.
+func (e *Executor) RunControlled(ctrl Cycler, w Workload) (Report, error) {
 	rep := Report{}
 	start := e.Clock.Now()
-	res, err := core.RunCycleLeanWith(ctrl, func(a core.ActionID, q core.Level) core.Cycles {
+	res, err := ctrl.RunFunc(func(a core.ActionID, q core.Level) core.Cycles {
 		// Decision cost is paid before the action runs, exactly as
 		// instrumented code would.
 		e.Clock.Advance(e.DecisionOverhead)

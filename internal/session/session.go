@@ -17,19 +17,11 @@ import (
 // budget grant is released so the share returns to the fleet.
 var ErrWorkloadPanic = errors.New("session: workload panicked mid-cycle")
 
-// Observer receives the per-stream control events of a Session. All
-// hooks run synchronously on the stream's goroutine; observers attached
-// to different Sessions never race with each other.
-type Observer interface {
-	// OnDecision fires after every controller decision.
-	OnDecision(d core.Decision)
-	// OnFallback fires (after OnDecision) when no level was admissible
-	// and the controller degraded to qmin.
-	OnFallback(d core.Decision)
-	// OnCompletion fires when the decided action completes: actual is
-	// the observed cost of this action, elapsed the cycle time so far.
-	OnCompletion(d core.Decision, actual, elapsed core.Cycles)
-}
+// Observer receives the per-stream control events of a Session: the
+// decision, the fallback and the completion hooks of core.StepObserver.
+// All hooks run synchronously on the stream's goroutine; observers
+// attached to different Sessions never race with each other.
+type Observer = core.StepObserver
 
 // FuncObserver adapts plain functions to Observer; nil fields are
 // skipped.
@@ -92,6 +84,32 @@ func EWMAObserver(e *trace.EWMA, mapAction func(core.ActionID) core.ActionID) Ob
 	}
 }
 
+// observers fans the control events out to every observer of a session
+// in attachment order. A session passes &obs to the cycle loop as its
+// core.StepObserver: a pointer, so that no cycle allocates.
+type observers []Observer
+
+// OnDecision implements core.StepObserver.
+func (obs *observers) OnDecision(d core.Decision) {
+	for _, o := range *obs {
+		o.OnDecision(d)
+	}
+}
+
+// OnFallback implements core.StepObserver.
+func (obs *observers) OnFallback(d core.Decision) {
+	for _, o := range *obs {
+		o.OnFallback(d)
+	}
+}
+
+// OnCompletion implements core.StepObserver.
+func (obs *observers) OnCompletion(d core.Decision, actual, elapsed core.Cycles) {
+	for _, o := range *obs {
+		o.OnCompletion(d, actual, elapsed)
+	}
+}
+
 // SessionOption configures NewSession.
 type SessionOption func(*sessionConfig)
 
@@ -123,7 +141,7 @@ func WithControllerOptions(opts ...core.Option) SessionOption {
 // (Runtime hands out as many as needed over one shared Program).
 type Session struct {
 	ctrl *core.Controller
-	obs  []Observer
+	obs  observers
 
 	pending    core.Decision
 	hasPending bool
@@ -258,13 +276,9 @@ func (s *Session) Next() (core.Decision, error) {
 	}
 	s.pending = d
 	s.hasPending = true
-	for _, o := range s.obs {
-		o.OnDecision(d)
-	}
+	s.obs.OnDecision(d)
 	if d.Fallback {
-		for _, o := range s.obs {
-			o.OnFallback(d)
-		}
+		s.obs.OnFallback(d)
 	}
 	return d, nil
 }
@@ -277,9 +291,7 @@ func (s *Session) Completed(actual core.Cycles) {
 		return
 	}
 	s.hasPending = false
-	for _, o := range s.obs {
-		o.OnCompletion(s.pending, actual, s.ctrl.Elapsed())
-	}
+	s.obs.OnCompletion(s.pending, actual, s.ctrl.Elapsed())
 }
 
 // SetLean does nothing: every Run takes the one allocation-free cycle
@@ -289,21 +301,28 @@ func (s *Session) Completed(actual core.Cycles) {
 // goes with the next change to that directory.
 func (s *Session) SetLean(bool) {}
 
-// Run drives one full cycle against the workload through
-// core.RunCycleLeanWith: for each step the controller picks (action,
-// level), the workload returns the consumed cycles, and the controller
-// observes the completion. Misses are counted against D_θ; observers
-// fire on every step; the loop itself allocates nothing. The session
-// must be at a cycle boundary (fresh, Reset, or just acquired): a
-// session whose cycle already ran returns an error and the owning
-// Runtime counts nothing.
+// Run drives one full cycle against the workload: for each step the
+// controller picks (action, level), the workload returns the consumed
+// cycles, and the controller observes the completion. Misses are
+// counted against D_θ; observers fire on every step; the loop itself
+// allocates nothing. The session must be at a cycle boundary (fresh,
+// Reset, or just acquired): a session whose cycle already ran returns
+// an error and the owning Runtime counts nothing.
 //
 // Run isolates workload panics: a panicking workload does not unwind
 // into the caller. Instead the controller is quarantined (a Runtime
 // never pools it again), the leased budget grant — if any — is
 // released back to the fleet, the session turns terminal, and Run
 // returns an error wrapping ErrWorkloadPanic with the panic value.
-func (s *Session) Run(w platform.Workload) (res core.CycleResult, err error) {
+func (s *Session) Run(w platform.Workload) (core.CycleResult, error) {
+	return s.RunFunc(w.Cost)
+}
+
+// RunFunc is Run with a bare function workload, under the name that
+// makes a Session a platform.Cycler. It runs the cycle through
+// core.RunCycleObserved on the session's controller, with the session's
+// observers as one core.StepObserver, nil without observers.
+func (s *Session) RunFunc(f func(core.ActionID, core.Level) core.Cycles) (res core.CycleResult, err error) {
 	if s.termErr != nil {
 		return core.CycleResult{}, s.termErr
 	}
@@ -313,7 +332,12 @@ func (s *Session) Run(w platform.Workload) (res core.CycleResult, err error) {
 			err = s.quarantine(cause)
 		}
 	}()
-	res, err = core.RunCycleLeanWith(s, w.Cost)
+	s.hasPending = false
+	var obs core.StepObserver
+	if len(s.obs) > 0 {
+		obs = &s.obs
+	}
+	res, err = core.RunCycleObserved(s.ctrl, obs, f)
 	if err != nil {
 		return res, err
 	}
@@ -337,9 +361,4 @@ func (s *Session) quarantine(cause any) error {
 		rel.Release()
 	}
 	return fmt.Errorf("%w: %v", ErrWorkloadPanic, cause)
-}
-
-// RunFunc is Run with a bare function workload.
-func (s *Session) RunFunc(f func(core.ActionID, core.Level) core.Cycles) (core.CycleResult, error) {
-	return s.Run(platform.WorkloadFunc(f))
 }
