@@ -56,20 +56,9 @@ type decideScanner struct {
 	costs []int64 // backing array of every item's Costs
 }
 
-func (s *decideScanner) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
-	}
-}
-
 // next skips whitespace and consumes c if it comes next.
 func (s *decideScanner) next(c byte) bool {
-	s.ws()
+	s.i = skipSpace(s.b, s.i)
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
 		return true
@@ -80,7 +69,7 @@ func (s *decideScanner) next(c byte) bool {
 // key consumes a quoted key equal to k and the colon after it, or no
 // key at all, so the caller can try the next key name.
 func (s *decideScanner) key(k string) bool {
-	s.ws()
+	s.i = skipSpace(s.b, s.i)
 	r := s.b[s.i:]
 	if len(r) < len(k)+2 || r[0] != '"' || string(r[1:1+len(k)]) != k || r[1+len(k)] != '"' {
 		return false
@@ -149,7 +138,7 @@ func (s *decideScanner) request() ([]DecideItem, bool) {
 			return s.next('{') && s.item(&items[len(items)-1])
 		})
 	})
-	s.ws()
+	s.i = skipSpace(s.b, s.i)
 	return items, ok && s.i == len(s.b)
 }
 
@@ -159,9 +148,8 @@ func (s *decideScanner) item(it *DecideItem) bool {
 		switch {
 		case !seen[0] && s.key("stream"):
 			seen[0] = true
-			s.ws()
-			v, ok := s.digits()
-			it.Stream = v
+			v, i, ok := parseDigits(s.b, skipSpace(s.b, s.i))
+			it.Stream, s.i = v, i
 			return ok
 		case !seen[1] && s.key("costs"):
 			seen[1] = true
@@ -174,55 +162,79 @@ func (s *decideScanner) item(it *DecideItem) bool {
 	})
 }
 
+// costList parses a costs array after its opening bracket: each
+// element an optional minus and an integer literal of at most maxDigits
+// digits without a leading zero, and the closing bracket, in one loop.
 func (s *decideScanner) costList(it *DecideItem) bool {
+	b := s.b
 	if s.costs == nil {
 		// In the plain shape a comma separates every two costs, in
 		// one array or in two, so the commas left plus one bound the
 		// costs left and the backing array never grows. A cost also
 		// takes two bytes, which caps the size for other bodies.
-		rest := s.b[s.i:]
+		rest := b[s.i:]
 		s.costs = make([]int64, 0, min(bytes.Count(rest, []byte{','}), len(rest)/2)+1)
 	}
-	start := len(s.costs)
-	ok := s.list(func() bool {
-		s.ws()
-		neg := s.i < len(s.b) && s.b[s.i] == '-'
+	costs := s.costs
+	start := len(costs)
+	i := skipSpace(b, s.i)
+	ok := i < len(b) && b[i] == ']'
+	for !ok {
+		neg := i < len(b) && b[i] == '-'
 		if neg {
-			s.i++
+			i++
 		}
-		v, ok := s.digits()
+		v, j, valid := parseDigits(b, i)
+		if !valid {
+			break
+		}
 		c := int64(v)
 		if neg {
 			c = -c
 		}
-		s.costs = append(s.costs, c)
-		return ok
-	})
-	it.Costs = s.costs[start:len(s.costs):len(s.costs)]
+		costs = append(costs, c)
+		if i = skipSpace(b, j); i >= len(b) || b[i] != ',' {
+			ok = i < len(b) && b[i] == ']'
+			break
+		}
+		i = skipSpace(b, i+1)
+	}
+	s.costs, s.i = costs, i+1
+	it.Costs = costs[start:len(costs):len(costs)]
 	return ok
 }
 
-// digits converts an unsigned integer literal of at most maxDigits
-// digits, without a leading zero.
-func (s *decideScanner) digits() (uint64, bool) {
-	start := s.i
+// skipSpace returns the index of the first byte at or after i in b
+// that is not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// parseDigits converts the unsigned integer literal at b[i:], of at
+// most maxDigits digits and without a leading zero, and returns the
+// index after its last digit.
+func parseDigits(b []byte, i int) (uint64, int, bool) {
+	start := i
 	var v uint64
-	for s.i < len(s.b) && s.i-start < maxDigits+1 {
-		c := s.b[s.i] - '0'
+	for i < len(b) && i-start < maxDigits+1 {
+		c := b[i] - '0'
 		if c > 9 {
 			break
 		}
 		v = v*10 + uint64(c)
-		s.i++
+		i++
 	}
-	n := s.i - start
-	return v, n > 0 && n <= maxDigits && (n == 1 || s.b[start] != '0')
+	n := i - start
+	return v, i, n > 0 && n <= maxDigits && (n == 1 || b[start] != '0')
 }
 
 // number converts a JSON number literal as encoding/json does for a
 // float64 field; one ParseFloat rejects (out of range) falls back.
 func (s *decideScanner) number(f *float64) bool {
-	s.ws()
+	s.i = skipSpace(s.b, s.i)
 	start := s.i
 	if s.i < len(s.b) && s.b[s.i] == '-' {
 		s.i++
@@ -311,7 +323,11 @@ func appendDecideResult(b []byte, r *DecideResult) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendInt(b, int64(l), 10)
+			if uint(l) < 10 {
+				b = append(b, byte('0'+l))
+			} else {
+				b = strconv.AppendInt(b, int64(l), 10)
+			}
 		}
 		b = append(b, ']')
 	}

@@ -34,9 +34,15 @@ func FuzzAppendDecideResponse(f *testing.F) {
 		r := DecideResult{Stream: stream, Code: code, Error: errText, Elapsed: elapsed,
 			Misses: misses, Fallbacks: fallbacks, MeanLevel: mean}
 		if len(levels) > 0 || emptyLevels {
+			// A byte below 0x80 is the level itself, so every
+			// one-digit level and its neighbours occur; from 0x80 on
+			// it is a negative multiple of 997, down to −128·997.
 			r.Levels = make([]int, len(levels))
 			for i, l := range levels {
-				r.Levels[i] = int(int8(l)) * 997
+				r.Levels[i] = int(l)
+				if l >= 0x80 {
+					r.Levels[i] = int(int8(l)) * 997
+				}
 			}
 		}
 		// 0 results is a nil slice; any multiple of 4 an empty one.

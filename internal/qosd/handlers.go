@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mixer"
 	"repro/internal/qosd/api"
-	"repro/internal/session"
 )
 
 // writeError sends an api.ErrorResponse; retryAfter > 0 additionally
@@ -136,15 +135,12 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 }
 
 // register binds a grant to a fresh session and enters it in the
-// stream registry.
+// stream registry. The session has no observer: its workload, st.cost,
+// records the levels, so every cycle runs the observer-free loop.
 func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
 	st := &stream{id: d.nextID.Add(1), m: m, grant: g}
 	st.workload = st.cost
-	st.sess = m.rt.AcquireBudgeted(g, session.FuncObserver{
-		Decision: func(dec core.Decision) {
-			st.levels = append(st.levels, dec.LevelIndex)
-		},
-	})
+	st.sess = m.rt.AcquireBudgeted(g)
 	d.mu.Lock()
 	d.streams[st.id] = st
 	d.mu.Unlock()
@@ -275,10 +271,11 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 		return true
 	}
 
-	st.levels = st.levels[:0]
-	st.costs, st.load = item.Costs, min(max(item.Load, 0), 1)
+	st.costs, st.load, st.levels = item.Costs, min(max(item.Load, 0), 1), levels
 	res, err := st.sess.RunFunc(st.workload)
-	st.costs = nil // the request's costs do not outlive it
+	levels = st.levels
+	// The request's costs and level slab do not outlive it.
+	st.costs, st.levels = nil, nil
 	if err != nil {
 		if errors.Is(err, mixer.ErrGrantRevoked) {
 			out.Code = api.DecideRevoked
@@ -297,7 +294,7 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 	st.m.ctrl.candidateEval.Add(int64(res.Stats.CandidateEval))
 
 	out.Code = api.DecideOK
-	out.Levels = append(levels, st.levels...)
+	out.Levels = levels
 	out.Elapsed = int64(res.Elapsed)
 	out.Misses = res.Misses
 	out.Fallbacks = res.Fallbacks
@@ -306,16 +303,18 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 }
 
 // cost is the stream's execution-time function for the cycle runCycle
-// is running, under st.mu. Explicit costs are charged verbatim (indexed
-// by schedule action ID); otherwise each action costs its per-level
-// average shifted load of the way toward the worst case, with load
-// clamped into [0, 1] so the synthetic cost always respects the
-// execution contract.
+// is running, under st.mu. The cycle loop calls it once per decision,
+// in step order, so it also appends the decided level's index to
+// st.levels. Explicit costs are charged verbatim (indexed by schedule
+// action ID); otherwise each action costs its per-level average shifted
+// load of the way toward the worst case, with load clamped into [0, 1]
+// so the synthetic cost always respects the execution contract.
 func (st *stream) cost(a core.ActionID, q core.Level) core.Cycles {
+	sys := st.m.rt.System()
+	st.levels = append(st.levels, sys.Levels.Index(q))
 	if len(st.costs) > 0 {
 		return core.Cycles(st.costs[a])
 	}
-	sys := st.m.rt.System()
 	av := sys.Cav.At(q, a)
 	wc := sys.Cwc.At(q, a)
 	if wc.IsInf() {

@@ -89,18 +89,19 @@ type stream struct {
 	id uint64
 	m  *model
 
-	mu     sync.Mutex
-	sess   *session.Session
-	grant  *mixer.Grant
-	levels []int // reusable per-decide level buffer, filled by the observer
-	gone   bool  // released or revoked; the registry entry may lag
+	mu    sync.Mutex
+	sess  *session.Session
+	grant *mixer.Grant
+	gone  bool // released or revoked; the registry entry may lag
 
 	// The running cycle's workload: workload is st.cost, bound once at
-	// register, and reads the item's costs (nil between cycles) or its
-	// clamped synthetic load.
+	// register. It reads the item's costs (nil between cycles) or its
+	// clamped synthetic load, and records each decided level's index in
+	// levels, the item's slice of the request's level slab.
 	workload func(core.ActionID, core.Level) core.Cycles
 	costs    []int64
 	load     float64
+	levels   []int
 }
 
 // Daemon is the qosd server core. Build one with New, mount Handler on

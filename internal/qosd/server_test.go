@@ -30,7 +30,7 @@ time b 1 30 50
 deadline b * 100
 `
 
-func writeTestModel(t *testing.T) string {
+func writeTestModel(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "chain.qos")
 	if err := os.WriteFile(path, []byte(testModel), 0o644); err != nil {
