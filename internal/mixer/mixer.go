@@ -41,6 +41,27 @@
 // reservation returns to the pool instead of starving the fleet. A
 // revoked grant's next LeaseDelay reports ErrGrantRevoked, so the
 // stream's session fails fast at its next Reset.
+//
+// # Cycle-boundary reads without the mutex
+//
+// The budget mutex guards admission, release, SetTotal, SetWeight,
+// Rebalance and Stats. The reads every stream makes at each cycle
+// boundary (LeaseDelay, CycleDelay, Share) do not take it in steady
+// state; three atomics carry what they need:
+//
+//   - The lease word. Each grant holds its lease in one atomic word:
+//     the epoch of its last renewal shifted left by one, with the low
+//     bit set once the grant is dead (released or revoked). A read
+//     renews by CAS at most once per epoch and writes nothing while the
+//     epoch stands still. Release and the reaper kill the grant by CAS
+//     too, so a renewal and a revocation are linearizable: the reaper
+//     never revokes a lease that was renewed between its load and its
+//     CAS, and once a kill has landed no read renews.
+//   - The published delay. repartition stores each grant's
+//     Nominal − share in an atomic, and a read returns it.
+//   - The dirty flag. Admit, Release, SetWeight and SetTotal set it; a
+//     read that finds it set takes the mutex and re-partitions once
+//     (ensureShares) before reading its delay.
 package mixer
 
 import (
@@ -48,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -141,8 +163,11 @@ func (s StreamSpec) Validate() error {
 
 // Budget is the goroutine-safe shared-budget controller: one global
 // cycle budget per period, split across the admitted streams. All
-// methods may be called from any goroutine; Grant reads are cheap
-// (one mutex acquisition, no recomputation).
+// methods may be called from any goroutine. A grant's cycle-boundary
+// read takes no lock in steady state: it renews the grant's lease word
+// at most once per epoch and loads the delay repartition published; it
+// takes the mutex only while the dirty flag is set (see the package
+// comment).
 type Budget struct {
 	mu        sync.Mutex
 	total     core.Cycles
@@ -154,19 +179,23 @@ type Budget struct {
 	// floors are sheddable, hard reserves are not).
 	hardCommitted core.Cycles
 	// dirty defers the share re-partition to the next read (Share,
-	// CycleDelay, Stats): admissions and releases stay O(1), so
-	// admitting N streams in a burst costs O(N), not O(N²).
-	dirty bool
+	// CycleDelay, LeaseDelay, Stats): admissions and releases stay
+	// O(1), so admitting N streams in a burst costs O(N), not O(N²).
+	// It is set and cleared under mu, and read without it by the
+	// grants' cycle-boundary reads; it is cleared only after
+	// repartition has published every grant's delay.
+	dirty atomic.Bool
 	// scratch is repartition's working buffer (sort order in Greedy,
 	// open set in waterFill). It is grown in Admit so the per-cycle
 	// repartition itself never allocates.
 	scratch []*Grant
 
 	// Lease bookkeeping (SetLease). epoch counts Rebalance calls while
-	// leasing is armed; a grant whose lastRenew falls more than leaseK
-	// epochs behind is revoked by the reaper.
+	// leasing is armed; a grant whose lease word falls more than leaseK
+	// epochs behind is revoked by the reaper. epoch is advanced under
+	// mu and read without it by the renewals.
 	leaseK  int
-	epoch   uint64
+	epoch   atomic.Uint64
 	revoked int64
 
 	// waitCh, when non-nil, is closed (exactly once) the next time
@@ -206,8 +235,12 @@ func (b *Budget) SetLease(k int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.leaseK = k
+	fresh := b.epoch.Load() << 1
 	for _, g := range b.grants {
-		g.lastRenew = b.epoch
+		// A plain store is safe here: every grant in b.grants is alive,
+		// only Release and the reaper kill, and both hold b.mu; a
+		// racing renewal writes no epoch newer than the current one.
+		g.lease.Store(fresh)
 	}
 }
 
@@ -229,7 +262,7 @@ func (b *Budget) SetTotal(total core.Cycles) error {
 	}
 	grew := total > b.total
 	b.total = total
-	b.dirty = true
+	b.dirty.Store(true)
 	if grew {
 		b.notifyCapacity()
 	}
@@ -254,7 +287,8 @@ func (b *Budget) Admit(spec StreamSpec) (*Grant, error) {
 		return nil, fmt.Errorf("%w: %d streams would need %v of %v",
 			ErrBudgetExhausted, len(b.grants)+1, committed, b.total)
 	}
-	g := &Grant{b: b, spec: spec, lastRenew: b.epoch}
+	g := &Grant{b: b, spec: spec}
+	g.lease.Store(b.epoch.Load() << 1)
 	b.grants = append(b.grants, g)
 	if cap(b.scratch) < len(b.grants) {
 		// Grow here, on the cold admission path, so the hot
@@ -265,7 +299,7 @@ func (b *Budget) Admit(spec StreamSpec) (*Grant, error) {
 	if !spec.Soft {
 		b.hardCommitted = b.hardCommitted.AddSat(spec.MinNeed)
 	}
-	b.dirty = true
+	b.dirty.Store(true)
 	return g, nil
 }
 
@@ -369,20 +403,16 @@ func (b *Budget) Rebalance() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.leaseK > 0 {
-		b.epoch++
+		epoch, k := b.epoch.Add(1), uint64(b.leaseK)
 		n := 0
 		for _, g := range b.grants {
-			if g.state == grantActive && b.epoch-g.lastRenew > uint64(b.leaseK) {
-				// Lease expired: revoke in place. The stream observes
-				// ErrGrantRevoked at its next LeaseDelay read.
-				g.state = grantRevoked
-				g.share = 0
-				b.committed = b.committed.SubSat(g.spec.MinNeed)
-				if !g.spec.Soft {
-					b.hardCommitted = b.hardCommitted.SubSat(g.spec.MinNeed)
-				}
+			if epoch > k && g.killBefore(epoch-k) {
+				// No renewal in the last k epochs: revoked in place.
+				// The stream observes ErrGrantRevoked at its next
+				// LeaseDelay read.
+				g.revoked = true
+				b.retire(g)
 				b.revoked++
-				b.dirty = true
 				continue
 			}
 			b.grants[n] = g
@@ -397,7 +427,7 @@ func (b *Budget) Rebalance() {
 		}
 	}
 	b.repartition()
-	b.dirty = false
+	b.dirty.Store(false)
 	granted := core.Cycles(0)
 	for _, g := range b.grants {
 		granted = granted.AddSat(g.share)
@@ -410,10 +440,21 @@ func (b *Budget) Rebalance() {
 // ensureShares re-partitions if membership, weights or the total
 // changed since the last read. Callers hold b.mu.
 func (b *Budget) ensureShares() {
-	if b.dirty {
+	if b.dirty.Load() {
 		b.repartition()
-		b.dirty = false
+		b.dirty.Store(false)
 	}
+}
+
+// retire returns a killed grant's reservation to the budget. Callers
+// hold b.mu and have just killed g.
+func (b *Budget) retire(g *Grant) {
+	g.share = 0
+	b.committed = b.committed.SubSat(g.spec.MinNeed)
+	if !g.spec.Soft {
+		b.hardCommitted = b.hardCommitted.SubSat(g.spec.MinNeed)
+	}
+	b.dirty.Store(true)
 }
 
 // Stats is a snapshot of the shared budget.
@@ -463,8 +504,21 @@ func (b *Budget) Stats() Stats {
 	return st
 }
 
-// repartition recomputes every grant's share for the coming cycle.
-// Callers hold b.mu. It applies the documented degradation order: hard
+// repartition recomputes every grant's share for the coming cycle and
+// publishes each grant's delay for the lock-free reads. Callers hold
+// b.mu. A delay that did not change is not stored again, so a
+// Rebalance that moves no share leaves the readers' cache lines alone.
+func (b *Budget) repartition() {
+	b.split()
+	for _, g := range b.grants {
+		if d := int64(g.spec.Nominal.SubSat(g.share)); g.delay.Load() != d {
+			g.delay.Store(d)
+		}
+	}
+}
+
+// split computes every grant's share for the coming cycle. Callers
+// hold b.mu. It applies the documented degradation order: hard
 // floors first (every hard grant starts at its MinNeed — always fits,
 // by the Admit/SetTotal invariants), then soft floors in admission
 // order from what remains (so a shrunk budget demotes the
@@ -472,7 +526,7 @@ func (b *Budget) Stats() Stats {
 // distributed under the policy, capped per stream at its nominal
 // budget. The computation is deterministic: ties and remainders
 // resolve in admission order.
-func (b *Budget) repartition() {
+func (b *Budget) split() {
 	n := len(b.grants)
 	if n == 0 {
 		return
@@ -604,30 +658,63 @@ func (b *Budget) waterFill(slack core.Cycles, weighted bool) core.Cycles {
 	return 0
 }
 
-// grantState is the lifecycle of a Grant: active until exactly one of
-// Release (voluntary) or the reaper (lease expiry) retires it. Both
-// terminal states are absorbing — a release racing a revocation is a
-// no-op on whichever side loses, never double accounting.
-type grantState uint8
-
-const (
-	grantActive grantState = iota
-	grantReleased
-	grantRevoked
-)
+// leaseDead is the lease word's dead bit: set exactly once, by Release
+// or the reaper, and never cleared. The rest of the word is the lease
+// epoch of the grant's last renewal.
+const leaseDead = 1
 
 // Grant is one admitted stream's handle on the shared budget. A Grant
-// is safe for concurrent use; the stream typically reads CycleDelay at
+// is safe for concurrent use; the stream typically reads LeaseDelay at
 // each cycle boundary (session.Runtime.AcquireBudgeted wires this up),
 // which doubles as the liveness-lease renewal when SetLease armed the
-// reaper.
+// reaper. Release and the reaper are mutually exclusive (both hold the
+// budget mutex) and both kill the lease word by CAS, so a grant retires
+// exactly once however they race.
 type Grant struct {
 	b    *Budget
-	spec StreamSpec
-	// share, state and lastRenew are guarded by b.mu.
-	share     core.Cycles
-	state     grantState
-	lastRenew uint64 // lease epoch of the last cycle-boundary read
+	spec StreamSpec // fixed at Admit except Weight, which b.mu guards
+	// lease is the liveness word: renewal epoch << 1 | leaseDead.
+	lease atomic.Uint64
+	// delay is Nominal − share as repartition last published it.
+	delay atomic.Int64
+	// share and revoked are guarded by b.mu.
+	share   core.Cycles
+	revoked bool
+}
+
+// renew renews the lease at the current epoch and reports whether the
+// grant is still alive. It writes the word at most once per epoch: a
+// word already at (or past) the epoch read here stays as it is, which
+// also keeps a renewal that read a stale epoch from moving the word
+// backwards.
+func (g *Grant) renew() bool {
+	e := g.b.epoch.Load() << 1
+	for {
+		w := g.lease.Load()
+		if w&leaseDead != 0 {
+			return false
+		}
+		if w >= e || g.lease.CompareAndSwap(w, e) {
+			return true
+		}
+	}
+}
+
+// killBefore kills the grant if it is alive and its last renewal is
+// older than epoch e, and reports whether this call killed it. Callers
+// hold b.mu. The kill is a CAS on the word it loaded: a renewal that
+// lands in between makes it fail, and the reloaded word is judged
+// again.
+func (g *Grant) killBefore(e uint64) bool {
+	for {
+		w := g.lease.Load()
+		if w&leaseDead != 0 || w>>1 >= e {
+			return false
+		}
+		if g.lease.CompareAndSwap(w, w|leaseDead) {
+			return true
+		}
+	}
 }
 
 // Spec returns the admission contract.
@@ -640,21 +727,18 @@ func (g *Grant) Spec() StreamSpec {
 // Share returns the stream's cycle share for the coming period
 // (0 once released or revoked). Reading it renews the liveness lease.
 func (g *Grant) Share() core.Cycles {
-	g.b.mu.Lock()
-	defer g.b.mu.Unlock()
-	if g.state != grantActive {
+	d, err := g.LeaseDelay()
+	if err != nil {
 		return 0
 	}
-	g.lastRenew = g.b.epoch
-	g.b.ensureShares()
-	return g.share
+	return g.spec.Nominal.SubSat(d)
 }
 
 // Revoked reports whether the reaper revoked this grant for liveness.
 func (g *Grant) Revoked() bool {
 	g.b.mu.Lock()
 	defer g.b.mu.Unlock()
-	return g.state == grantRevoked
+	return g.revoked
 }
 
 // CycleDelay returns Nominal − Share: the elapsed-time handicap to
@@ -666,32 +750,28 @@ func (g *Grant) Revoked() bool {
 //
 //qos:hotpath
 func (g *Grant) CycleDelay() core.Cycles {
-	g.b.mu.Lock()
-	defer g.b.mu.Unlock()
-	if g.state != grantActive {
-		return g.spec.Nominal
-	}
-	g.lastRenew = g.b.epoch
-	g.b.ensureShares()
-	return g.spec.Nominal.SubSat(g.share)
+	d, _ := g.LeaseDelay()
+	return d
 }
 
-// LeaseDelay is CycleDelay with liveness reporting, in the same single
-// lock acquisition: it renews the lease and returns the cycle handicap,
-// or ErrGrantRevoked once the grant was revoked (or released). It
-// implements session.LeasedBudgetSource, so a budgeted session fails
-// fast at its next Reset instead of serving on a reclaimed share.
+// LeaseDelay is CycleDelay with liveness reporting: it renews the lease
+// and returns the cycle handicap, or ErrGrantRevoked once the grant was
+// revoked (or released). It takes the budget mutex only when a change
+// left the shares dirty. It implements session.LeasedBudgetSource, so a
+// budgeted session fails fast at its next Reset instead of serving on a
+// reclaimed share.
 //
 //qos:hotpath
 func (g *Grant) LeaseDelay() (core.Cycles, error) {
-	g.b.mu.Lock()
-	defer g.b.mu.Unlock()
-	if g.state != grantActive {
+	if !g.renew() {
 		return g.spec.Nominal, ErrGrantRevoked
 	}
-	g.lastRenew = g.b.epoch
-	g.b.ensureShares()
-	return g.spec.Nominal.SubSat(g.share), nil
+	if b := g.b; b.dirty.Load() {
+		b.mu.Lock()
+		b.ensureShares()
+		b.mu.Unlock()
+	}
+	return core.Cycles(g.delay.Load()), nil
 }
 
 // SetWeight changes the stream's Weighted-policy bias; shares
@@ -704,34 +784,28 @@ func (g *Grant) SetWeight(w float64) {
 	g.b.mu.Lock()
 	defer g.b.mu.Unlock()
 	g.spec.Weight = w
-	g.b.dirty = true
+	g.b.dirty.Store(true)
 }
 
 // Release returns the stream's reservation to the budget; the
 // survivors' shares re-partition at their next read. Release is
-// idempotent and safe against the release-vs-reclaim race: the state
-// transition and the accounting happen under one lock acquisition, so
-// a double release — or a release racing the reaper's revocation of
-// the same grant — retires the reservation exactly once.
+// idempotent and safe against the release-vs-reclaim race: whichever
+// of Release and the reaper kills the lease word first retires the
+// reservation, under the budget mutex, and the other finds the grant
+// dead and does nothing.
 func (g *Grant) Release() {
 	b := g.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if g.state != grantActive {
+	if !g.killBefore(^uint64(0)) {
 		return
 	}
-	g.state = grantReleased
-	g.share = 0
 	for i, h := range b.grants {
 		if h == g {
 			b.grants = append(b.grants[:i], b.grants[i+1:]...)
 			break
 		}
 	}
-	b.committed = b.committed.SubSat(g.spec.MinNeed)
-	if !g.spec.Soft {
-		b.hardCommitted = b.hardCommitted.SubSat(g.spec.MinNeed)
-	}
-	b.dirty = true
+	b.retire(g)
 	b.notifyCapacity()
 }

@@ -199,8 +199,31 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	// One backing array holds every item's levels: a cycle runs each
 	// action of its schedule once, so an item needs maxActions at most.
 	levels := make([]int, len(req.Items)*d.maxActions)
+	// One registry lock resolves the whole batch. A stream released
+	// after it is resolved stays unserved: runCycle checks st.gone
+	// under st.mu. A batch of up to 32 items resolves into the stack.
+	var small [32]*stream
+	sts := small[:0]
+	d.mu.Lock()
 	for i := range req.Items {
-		resp.Results[i] = d.decideOne(&req.Items[i], levels[i*d.maxActions:i*d.maxActions:(i+1)*d.maxActions])
+		sts = append(sts, d.streams[req.Items[i].Stream])
+	}
+	d.mu.Unlock()
+	// The items' controller statistics reach their model's totals once
+	// per run of items of one model, not once per item.
+	var m *model
+	var sum core.ControllerStats
+	for i, st := range sts {
+		if st != nil && st.m != m {
+			if m != nil {
+				m.ctrl.fold(&sum)
+			}
+			m, sum = st.m, core.ControllerStats{}
+		}
+		resp.Results[i] = d.decideOne(&req.Items[i], st, levels[i*d.maxActions:i*d.maxActions:(i+1)*d.maxActions], &sum)
+	}
+	if m != nil {
+		m.ctrl.fold(&sum)
 	}
 	// Nothing decoded points into body, so its buffer carries the reply.
 	w.Header().Set("Content-Type", "application/json")
@@ -209,21 +232,19 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	return http.StatusOK
 }
 
-// decideOne runs one stream through one controlled cycle, appending its
-// levels to levels.
-func (d *Daemon) decideOne(item *api.DecideItem, levels []int) api.DecideResult {
+// decideOne runs one stream (nil if unknown) through one controlled
+// cycle, appending its levels to levels and adding its controller
+// statistics to sum.
+func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int, sum *core.ControllerStats) api.DecideResult {
 	out := api.DecideResult{Stream: item.Stream}
-	d.mu.Lock()
-	st, ok := d.streams[item.Stream]
-	d.mu.Unlock()
-	if !ok {
+	if st == nil {
 		out.Code = api.DecideUnknown
 		out.Error = "unknown stream"
 		return out
 	}
 
 	st.mu.Lock()
-	revoked := st.runCycle(item, levels, &out)
+	revoked := st.runCycle(item, levels, &out, sum)
 	if revoked {
 		d.teardownLocked(st)
 	}
@@ -238,10 +259,11 @@ func (d *Daemon) decideOne(item *api.DecideItem, levels []int) api.DecideResult 
 	return out
 }
 
-// runCycle executes one cycle under st.mu, filling out and appending
-// the chosen levels to levels. It reports whether the stream's lease
-// was revoked (caller tears down and drops the registry entry).
-func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult) bool {
+// runCycle executes one cycle under st.mu, filling out, appending the
+// chosen levels to levels and adding the cycle's controller statistics
+// to sum. It reports whether the stream's lease was revoked (caller
+// tears down and drops the registry entry).
+func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult, sum *core.ControllerStats) bool {
 	if st.gone {
 		out.Code = api.DecideUnknown
 		out.Error = "stream released"
@@ -287,11 +309,11 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 		return false
 	}
 
-	st.m.ctrl.decisions.Add(int64(res.Stats.Decisions))
-	st.m.ctrl.fallbacks.Add(int64(res.Stats.Fallbacks))
-	st.m.ctrl.levelSum.Add(res.Stats.LevelSum)
-	st.m.ctrl.levelChanges.Add(int64(res.Stats.LevelChanges))
-	st.m.ctrl.candidateEval.Add(int64(res.Stats.CandidateEval))
+	sum.Decisions += res.Stats.Decisions
+	sum.Fallbacks += res.Stats.Fallbacks
+	sum.LevelSum += res.Stats.LevelSum
+	sum.LevelChanges += res.Stats.LevelChanges
+	sum.CandidateEval += res.Stats.CandidateEval
 
 	out.Code = api.DecideOK
 	out.Levels = levels

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // latencyBuckets are the per-endpoint request-duration histogram bounds
@@ -85,15 +87,24 @@ func (m *endpointMetrics) write(w io.Writer) {
 }
 
 // ctrlStats aggregates ControllerStats across every cycle the daemon
-// serves for one model. The per-cycle deltas are folded in after each
-// decide (the controller's own counters reset with the session), so the
-// totals survive stream churn.
+// serves for one model. A decide request folds in the sum of its
+// items' per-cycle statistics (the controller's own counters reset with
+// the session), so the totals survive stream churn.
 type ctrlStats struct {
 	decisions     atomic.Int64
 	fallbacks     atomic.Int64
 	levelSum      atomic.Int64
 	levelChanges  atomic.Int64
 	candidateEval atomic.Int64
+}
+
+// fold adds a request's summed controller statistics to the totals.
+func (c *ctrlStats) fold(s *core.ControllerStats) {
+	c.decisions.Add(int64(s.Decisions))
+	c.fallbacks.Add(int64(s.Fallbacks))
+	c.levelSum.Add(s.LevelSum)
+	c.levelChanges.Add(int64(s.LevelChanges))
+	c.candidateEval.Add(int64(s.CandidateEval))
 }
 
 // handleMetrics renders the whole daemon in Prometheus text format:

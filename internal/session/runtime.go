@@ -16,16 +16,60 @@ import (
 //
 // Acquire/Release (or the one-shot RunCycle) are safe to call from any
 // number of goroutines; each Session itself stays single-stream.
+//
+// Each acquired session counts the cycles it serves in counters of its
+// own, so two streams' cycles write no shared counter. Stats sums the
+// live sessions, the released ones and RunCycle's.
 type Runtime struct {
 	prog *core.Program
 	pool sync.Pool
 
-	active      atomic.Int64
-	cycles      atomic.Int64
-	actions     atomic.Int64
-	fallbacks   atomic.Int64
-	misses      atomic.Int64
 	quarantined atomic.Int64
+
+	// mu guards live, the tallies of the sessions acquired and not yet
+	// released, and retired, the totals of the released ones. Release
+	// removes a tally from live and folds it into retired under mu, so
+	// Stats counts every cycle exactly once.
+	mu      sync.Mutex
+	live    []*tally
+	retired RuntimeStats
+
+	// RunCycle's one-shot sessions are never in live: they count their
+	// cycles straight into oneShot, and oneShots counts those in flight.
+	oneShot  tally
+	oneShots atomic.Int64
+}
+
+// tally counts the cycles one session serves (or, for a runtime's
+// oneShot, every RunCycle). The counters are atomics so that Stats can
+// read them while the stream serves; slot is the session's index in
+// the runtime's live registry, guarded by the runtime's mu.
+type tally struct {
+	cycles, actions, fallbacks, misses atomic.Int64
+	slot                               int
+}
+
+// add counts one finished cycle.
+func (t *tally) add(res *core.CycleResult) {
+	t.cycles.Add(1)
+	t.actions.Add(int64(res.Steps))
+	t.fallbacks.Add(int64(res.Fallbacks))
+	t.misses.Add(int64(res.Misses))
+}
+
+// addTo adds the counters into a stats snapshot.
+func (t *tally) addTo(st *RuntimeStats) {
+	st.Cycles += t.cycles.Load()
+	st.Actions += t.actions.Load()
+	st.Fallbacks += t.fallbacks.Load()
+	st.Misses += t.misses.Load()
+}
+
+// tallied is an acquired session and its tally, in one allocation: a
+// one-shot session carries no tally of its own.
+type tallied struct {
+	s Session
+	t tally
 }
 
 // NewRuntime validates the system, precomputes its controller program
@@ -81,19 +125,29 @@ type LeasedBudgetSource interface {
 // Controller configuration (mode, smoothness, evaluator) is fixed for
 // the whole runtime at NewRuntime.
 func (r *Runtime) Acquire(obs ...Observer) *Session {
-	var ctrl *core.Controller
+	h := new(tallied)
+	r.bind(&h.s, obs)
+	h.s.tally = &h.t
+	r.mu.Lock()
+	h.t.slot = len(r.live)
+	r.live = append(r.live, &h.t)
+	r.mu.Unlock()
+	return &h.s
+}
+
+// bind gives s a pooled (or fresh) controller instance, its observers
+// and r as its owner.
+func (r *Runtime) bind(s *Session, obs []Observer) {
 	if v := r.pool.Get(); v != nil {
-		ctrl = v.(*core.Controller)
-		ctrl.Reset()
+		s.ctrl = v.(*core.Controller)
+		s.ctrl.Reset()
 	} else {
 		// Fresh instances come out of NewController already at a
 		// cycle boundary; no second reset needed.
-		ctrl = r.prog.NewController()
+		s.ctrl = r.prog.NewController()
 	}
-	r.active.Add(1)
-	s := &Session{ctrl: ctrl, obs: obs}
+	s.obs = obs
 	s.owner.Store(r)
-	return s
 }
 
 // AcquireBudgeted hands out a Session whose cycles run under a shared
@@ -107,14 +161,22 @@ func (r *Runtime) Acquire(obs ...Observer) *Session {
 //	defer func() { rt.Release(s); g.Release() }()
 func (r *Runtime) AcquireBudgeted(src BudgetSource, obs ...Observer) *Session {
 	s := r.Acquire(obs...)
-	s.budget = src
 	// Pay the leased-source type assertion once here, not per cycle.
-	if l, ok := src.(LeasedBudgetSource); ok {
-		s.leased = l
+	l, ok := src.(LeasedBudgetSource)
+	if !ok {
+		l = unleased{src}
 	}
+	s.budget = l
 	s.applyBudget()
 	return s
 }
+
+// unleased adapts a BudgetSource that cannot be revoked: its lease
+// never ends.
+type unleased struct{ BudgetSource }
+
+// LeaseDelay implements LeasedBudgetSource.
+func (u unleased) LeaseDelay() (core.Cycles, error) { return u.CycleDelay(), nil }
 
 // Release returns the session's controller instance to the pool. The
 // session must not be used afterwards. Release is safe against misuse
@@ -126,11 +188,21 @@ func (r *Runtime) Release(s *Session) {
 	if s == nil || !s.owner.CompareAndSwap(r, nil) {
 		return
 	}
+	if t := s.tally; t != &r.oneShot {
+		r.mu.Lock()
+		last := r.live[len(r.live)-1]
+		r.live[t.slot], last.slot = last, t.slot
+		r.live[len(r.live)-1] = nil
+		r.live = r.live[:len(r.live)-1]
+		t.addTo(&r.retired)
+		r.mu.Unlock()
+	} else {
+		r.oneShots.Add(-1)
+	}
 	ctrl := s.ctrl
 	s.ctrl = nil
 	s.budget = nil
-	s.leased = nil
-	r.active.Add(-1)
+	s.tally = nil
 	// A Retarget would have forked the controller off the shared
 	// program, a ShiftDeadlines leaves a private time base behind, and
 	// a quarantined controller's mid-cycle state is unknowable after a
@@ -143,19 +215,16 @@ func (r *Runtime) Release(s *Session) {
 
 // RunCycle serves one full cycle of one stream: acquire, run the
 // workload, release. This is the common fast path for stateless
-// callers.
+// callers. Its one-shot session stays out of the live registry, whose
+// lock it would otherwise pay every cycle, and counts its cycle
+// straight into the runtime's one-shot totals.
 func (r *Runtime) RunCycle(w platform.Workload, obs ...Observer) (core.CycleResult, error) {
-	s := r.Acquire(obs...)
+	s := new(Session)
+	r.bind(s, obs)
+	s.tally = &r.oneShot
+	r.oneShots.Add(1)
 	defer r.Release(s)
 	return s.Run(w)
-}
-
-// account folds a finished cycle into the served totals.
-func (r *Runtime) account(res *core.CycleResult) {
-	r.cycles.Add(1)
-	r.actions.Add(int64(res.Steps))
-	r.fallbacks.Add(int64(res.Fallbacks))
-	r.misses.Add(int64(res.Misses))
 }
 
 // RuntimeStats is a snapshot of the served totals.
@@ -176,12 +245,15 @@ type RuntimeStats struct {
 // Stats returns a snapshot of the served totals. Cycles driven manually
 // (Next/Completed without Run) are not counted.
 func (r *Runtime) Stats() RuntimeStats {
-	return RuntimeStats{
-		ActiveSessions: r.active.Load(),
-		Cycles:         r.cycles.Load(),
-		Actions:        r.actions.Load(),
-		Fallbacks:      r.fallbacks.Load(),
-		Misses:         r.misses.Load(),
-		Quarantined:    r.quarantined.Load(),
+	r.mu.Lock()
+	st := r.retired
+	st.ActiveSessions = int64(len(r.live))
+	for _, t := range r.live {
+		t.addTo(&st)
 	}
+	r.mu.Unlock()
+	r.oneShot.addTo(&st)
+	st.ActiveSessions += r.oneShots.Load()
+	st.Quarantined = r.quarantined.Load()
+	return st
 }

@@ -361,3 +361,116 @@ func TestRuntimeConcurrentDoubleRelease(t *testing.T) {
 		t.Fatal("pool handed one controller to two sessions")
 	}
 }
+
+// TestRuntimeStatsExactWhileHeld checks the served totals while
+// sessions are still held: each acquired session counts its own cycles,
+// Release folds them into the retired totals, and RunCycle's one-shot
+// sessions count straight into them. A concurrent reader must never see
+// a total go backwards (a cycle dropped or counted twice by a fold), and
+// a snapshot taken with no stream running is exact.
+func TestRuntimeStatsExactWhileHeld(t *testing.T) {
+	sys := demoSystem(t)
+	rt, err := NewRuntime(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func(a core.ActionID, q core.Level) core.Cycles { return sys.Cav.At(q, a) }
+	const streams, cycles = 6, 100
+	held := make([]*Session, streams)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var last RuntimeStats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := rt.Stats()
+			if st.Cycles < last.Cycles || st.Actions < last.Actions {
+				t.Errorf("stats went from %+v to %+v", last, st)
+				return
+			}
+			last = st
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < streams; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := rt.Acquire()
+			for c := 0; c < cycles; c++ {
+				s.Reset()
+				if _, err := s.RunFunc(work); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := rt.RunCycle(platform.WorkloadFunc(work)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if g%2 == 0 {
+				rt.Release(s) // folded into the retired totals
+				return
+			}
+			held[g] = s
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	st := rt.Stats()
+	if want := int64(2 * streams * cycles); st.Cycles != want || st.Actions != 3*want {
+		t.Fatalf("with %d sessions held: %+v, want %d cycles", streams/2, st, want)
+	}
+	if st.ActiveSessions != streams/2 {
+		t.Fatalf("active sessions %d, want %d", st.ActiveSessions, streams/2)
+	}
+	for _, s := range held {
+		rt.Release(s)
+	}
+	if after := rt.Stats(); after.Cycles != st.Cycles || after.ActiveSessions != 0 {
+		t.Fatalf("after release: %+v, before: %+v", after, st)
+	}
+}
+
+// BenchmarkRuntimeAcquireRelease measures a stream's lifetime on the
+// runtime without its cycles: Acquire, then Release, from GOMAXPROCS
+// goroutines at once.
+func BenchmarkRuntimeAcquireRelease(b *testing.B) {
+	rt, err := NewRuntime(demoSystem(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			rt.Release(rt.Acquire())
+		}
+	})
+}
+
+// BenchmarkRuntimeRunCycle measures the stateless path, one one-shot
+// cycle per op, from GOMAXPROCS goroutines at once.
+func BenchmarkRuntimeRunCycle(b *testing.B) {
+	sys := demoSystem(b)
+	rt, err := NewRuntime(sys)
+	if err != nil {
+		b.Fatal(err)
+	}
+	work := platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles { return sys.Cav.At(q, a) })
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := rt.RunCycle(work); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

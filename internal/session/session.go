@@ -147,15 +147,11 @@ type Session struct {
 	hasPending bool
 
 	// budget, when non-nil, charges the stream's shared-budget handicap
-	// (CycleDelay) to the controller at every cycle start — see
-	// Runtime.AcquireBudgeted.
-	budget BudgetSource
-	// leased caches the LeasedBudgetSource view of budget (type
-	// assertion paid once at AcquireBudgeted, not per cycle): when
-	// non-nil, every cycle start goes through LeaseDelay so a revoked
-	// grant fails the session fast instead of serving on a reclaimed
-	// share.
-	leased LeasedBudgetSource
+	// (LeaseDelay) to the controller at every cycle start — see
+	// Runtime.AcquireBudgeted, which wraps a source that cannot be
+	// revoked in unleased. A revoked grant fails the session fast
+	// instead of serving on a reclaimed share.
+	budget LeasedBudgetSource
 	// termErr latches the session's terminal error — a revoked lease
 	// (surfaced at Reset) or a workload panic. Once set, Next and Run
 	// refuse to serve; Err exposes it.
@@ -166,6 +162,10 @@ type Session struct {
 	// detach the session exactly once even under a racy double
 	// release, and reject sessions owned by a different runtime.
 	owner atomic.Pointer[Runtime]
+	// tally is where Run counts the cycles it serves: the session's own
+	// when acquired from a Runtime, the runtime's one-shot tally for
+	// RunCycle's session, nil for a stand-alone session.
+	tally *tally
 }
 
 // NewSession builds a stand-alone session: its own controller (and
@@ -243,18 +243,15 @@ func (s *Session) Err() error { return s.termErr }
 // the controller at a cycle boundary. A leased source that reports
 // revocation terminates the session instead.
 func (s *Session) applyBudget() {
-	if s.leased != nil {
-		dt, err := s.leased.LeaseDelay()
-		if err != nil {
-			s.termErr = err
-			return
-		}
-		s.ctrl.Preempt(dt)
+	if s.budget == nil {
 		return
 	}
-	if s.budget != nil {
-		s.ctrl.Preempt(s.budget.CycleDelay())
+	dt, err := s.budget.LeaseDelay()
+	if err != nil {
+		s.termErr = err
+		return
 	}
+	s.ctrl.Preempt(dt)
 }
 
 // Preempt charges dt cycles of external CPU time (other streams,
@@ -341,8 +338,8 @@ func (s *Session) RunFunc(f func(core.ActionID, core.Level) core.Cycles) (res co
 	if err != nil {
 		return res, err
 	}
-	if rt := s.owner.Load(); rt != nil {
-		rt.account(&res)
+	if s.tally != nil {
+		s.tally.add(&res)
 	}
 	return res, nil
 }
@@ -357,7 +354,11 @@ func (s *Session) quarantine(cause any) error {
 	if rt := s.owner.Load(); rt != nil {
 		rt.quarantined.Add(1)
 	}
-	if rel, ok := s.budget.(interface{ Release() }); ok {
+	var src any = s.budget
+	if u, ok := src.(unleased); ok {
+		src = u.BudgetSource
+	}
+	if rel, ok := src.(interface{ Release() }); ok {
 		rel.Release()
 	}
 	return fmt.Errorf("%w: %v", ErrWorkloadPanic, cause)
