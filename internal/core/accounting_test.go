@@ -233,11 +233,20 @@ func TestCandidateEvalThresholdProbes(t *testing.T) {
 	}
 	sys := chainSystem(t, levels, cost, 2, 100)
 
+	// The reference is a custom evaluator, so it has no concrete
+	// selector and decides through the Evaluator interface.
 	ctrl := func(ref bool) *Controller {
+		var c *Controller
 		if ref {
-			return scanController(t, sys)
+			c = scanController(t, sys)
+		} else {
+			c = mustController(t, sys)
 		}
-		return mustController(t, sys)
+		checkSelector(t, "probe run", c.Program())
+		if (c.Program().tables == nil) != ref {
+			t.Fatalf("ref=%v: concrete selector %p", ref, c.Program().tables)
+		}
+		return c
 	}
 	// Top admissible at t=0: one probe on both engines.
 	for _, ref := range []bool{false, true} {

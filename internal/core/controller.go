@@ -107,6 +107,10 @@ type Program struct {
 	// re-derives Best_Sched per candidate level (allowedDirect).
 	useTables bool
 	eval      Evaluator
+	// tables is eval when it is the generic *Tables, else nil; NewProgram
+	// sets it once. The decision step calls it concretely: only custom
+	// evaluators (IterativeTables, test oracles) decide through eval.
+	tables *Tables
 
 	alpha []ActionID // schedule order at qmin; never mutated after build
 }
@@ -151,6 +155,7 @@ func NewProgram(sys *System, opts ...Option) (*Program, error) {
 			p.eval = NewTables(sys, p.alpha)
 		}
 	}
+	p.tables, _ = p.eval.(*Tables)
 	return p, nil
 }
 
@@ -176,6 +181,8 @@ func (p *Program) Schedule() []ActionID { return append([]ActionID(nil), p.alpha
 // expensive (validation, EDF schedule, tables) is shared.
 func (p *Program) NewController() *Controller {
 	c := &Controller{prog: p}
+	// θ is filled with qmin once, here; resetOver leaves it alone (see
+	// there for why no cycle reads a stale entry).
 	c.theta = NewAssignment(p.sys.Graph.Len(), p.sys.QMin())
 	c.resetOver(p)
 	return c
@@ -262,6 +269,14 @@ func (c *Controller) System() *System { return c.prog.sys }
 
 // resetOver (re)initialises the mutable state for a fresh cycle over
 // program p.
+//
+// θ is deliberately not refilled: entries left by the previous cycle
+// are never read. Every executed position's entry is written by its own
+// decision in the current cycle before the position advances;
+// Assignment reads tail for every position at or after i; and
+// allowedDirect evaluates θ ▷_i q, which overrides the same positions
+// (OverrideFrom). So entries of positions before i are this cycle's and
+// the rest are masked.
 func (c *Controller) resetOver(p *Program) {
 	if p.useTables {
 		c.alpha = p.alpha
@@ -274,9 +289,6 @@ func (c *Controller) resetOver(p *Program) {
 		} else {
 			copy(c.alpha, p.alpha)
 		}
-	}
-	for j := range c.theta {
-		c.theta[j] = p.sys.QMin()
 	}
 	c.tail = p.sys.QMin()
 	c.i = 0
@@ -316,7 +328,7 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	if c.i != 0 && !c.Done() {
 		return errors.New("core: Retarget mid-cycle")
 	}
-	if _, ok := c.prog.eval.(*Tables); c.prog.eval != nil && !ok {
+	if c.prog.eval != nil && c.prog.tables == nil {
 		return errors.New("core: Retarget with a custom evaluator; re-target the evaluator instead")
 	}
 	// Fast path: a uniform displacement of the current family keeps the
@@ -324,7 +336,7 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	// distinct family — when the caller mutated the system's deadlines
 	// in place there is nothing to diff against, and only the rebuild
 	// path can help.
-	if tb, ok := c.prog.eval.(*Tables); ok && d != c.prog.sys.D {
+	if tb := c.prog.tables; tb != nil && d != c.prog.sys.D {
 		if delta, uniform := UniformShift(c.prog.sys.D, d); uniform {
 			shift := c.dshift.AddSat(delta)
 			if c.prog.mode != Hard || tb.WcQminSlack[0].AddSat(shift) >= 0 {
@@ -405,8 +417,8 @@ func (c *Controller) ShiftDeadlines(delta Cycles) error {
 	if c.i != 0 && !c.Done() {
 		return errors.New("core: ShiftDeadlines mid-cycle")
 	}
-	tb, ok := c.prog.eval.(*Tables)
-	if !ok {
+	tb := c.prog.tables
+	if tb == nil {
 		return errors.New("core: ShiftDeadlines requires the precomputed-table path")
 	}
 	shift := c.dshift.AddSat(delta)
@@ -486,12 +498,17 @@ func (c *Controller) decide() Decision {
 	if p.useTables {
 		// The evaluator yields the maximal admissible level directly
 		// (O(log|Q|) probes over the precomputed slack thresholds; zero
-		// allocations).
+		// allocations). The generic tables are called concretely; only
+		// a custom evaluator pays the interface call.
 		teff := c.t
 		if c.dshift != 0 {
 			teff = teff.SubSat(c.dshift)
 		}
-		chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
+		if tb := p.tables; tb != nil {
+			chosen, probes = tb.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
+		} else {
+			chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
+		}
 	} else {
 		for qi := hi; qi >= 0; qi-- {
 			probes++
@@ -634,7 +651,10 @@ func RunCycleObserved(c *Controller, obs StepObserver, exec func(ActionID, Level
 		}
 		actual := exec(d.Action, d.Level)
 		deadline := sys.D.Fns[d.LevelIndex][d.Action]
-		c.Completed(actual)
+		// Completed, in line: it does not inline itself (AddSat takes
+		// most of the budget), and the loop runs it once per action.
+		c.t = c.t.AddSat(max(actual, 0))
+		c.i++
 		if obs != nil {
 			obs.OnCompletion(d, actual, c.t)
 		}

@@ -138,7 +138,7 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 // stream registry. The session has no observer: its workload, st.cost,
 // records the levels, so every cycle runs the observer-free loop.
 func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
-	st := &stream{id: d.nextID.Add(1), m: m, grant: g}
+	st := &stream{id: d.nextID.Add(1), m: m, grant: g, sys: m.rt.System()}
 	st.workload = st.cost
 	st.sess = m.rt.AcquireBudgeted(g)
 	d.mu.Lock()
@@ -332,7 +332,7 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 // load of the way toward the worst case, with load clamped into [0, 1]
 // so the synthetic cost always respects the execution contract.
 func (st *stream) cost(a core.ActionID, q core.Level) core.Cycles {
-	sys := st.m.rt.System()
+	sys := st.sys
 	st.levels = append(st.levels, sys.Levels.Index(q))
 	if len(st.costs) > 0 {
 		return core.Cycles(st.costs[a])

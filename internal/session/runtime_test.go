@@ -1,6 +1,8 @@
 package session
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -74,6 +76,86 @@ func TestRuntimeRetargetedSessionNotPooled(t *testing.T) {
 			t.Fatal("retargeted controller re-entered the shared pool")
 		}
 		defer rt.Release(s2)
+	}
+}
+
+// TestRuntimePooledControllerMatchesFresh runs two budgeted streams in
+// turn on one Runtime, each releasing its session before the other
+// acquires, so the pool hands one controller from stream to stream.
+// Every cycle of either stream must match a fresh controller over the
+// runtime's program, charged the same handicap and fed the same costs:
+// the same CycleResult, assignment and schedule.
+func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
+	sys := demoSystem(t)
+	// costs draws each action's cost from seed: mostly within the
+	// worst-case contract, and now and then over it (a fallback).
+	costs := func(seed int64) func(core.ActionID, core.Level) core.Cycles {
+		r := rand.New(rand.NewSource(seed))
+		return func(a core.ActionID, q core.Level) core.Cycles {
+			av, wc := sys.Cav.At(q, a), sys.Cwc.At(q, a)
+			c := av/2 + core.Cycles(r.Int63n(int64(wc-av/2)+1))
+			if r.Intn(6) == 0 {
+				c *= 3
+			}
+			return c
+		}
+	}
+	configs := map[string][]core.Option{
+		"hard":    nil,
+		"soft":    {core.WithMode(core.Soft)},
+		"direct":  {core.WithTables(false)},
+		"maxstep": {core.WithMaxStep(1)},
+	}
+	for name, opts := range configs {
+		rt, err := NewRuntime(sys, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := [2]*fixedDelay{{d: 0}, {d: 45}}
+		r := rand.New(rand.NewSource(1))
+		var prev *core.Controller
+		pooled, fallbacks := 0, 0
+		for turn := 0; turn < 16; turn++ {
+			src := streams[turn%2]
+			s := rt.AcquireBudgeted(src)
+			if s.Controller() == prev {
+				pooled++
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				if cycle > 0 {
+					s.Reset()
+				}
+				seed := r.Int63()
+				got, err := s.RunFunc(costs(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := rt.Program().NewController()
+				fresh.Preempt(src.CycleDelay())
+				want, err := fresh.RunFunc(costs(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s turn %d cycle %d: pooled %+v, fresh %+v", name, turn, cycle, got, want)
+				}
+				fallbacks += got.Fallbacks
+				if !slices.Equal(s.Assignment(), fresh.Assignment()) || !slices.Equal(s.Schedule(), fresh.Schedule()) {
+					t.Fatalf("%s turn %d cycle %d: pooled assignment %v schedule %v, fresh %v %v", name, turn, cycle,
+						s.Assignment(), s.Schedule(), fresh.Assignment(), fresh.Schedule())
+				}
+			}
+			prev = s.Controller()
+			rt.Release(s)
+		}
+		// sync.Pool may drop an instance (it does so at random under
+		// -race), but not on every one of 15 hand-overs.
+		if pooled == 0 {
+			t.Fatalf("%s: the pool never handed a controller from one stream to the other", name)
+		}
+		if fallbacks == 0 {
+			t.Fatalf("%s: no cycle fell back; the costs never broke the contract", name)
+		}
 	}
 }
 
