@@ -2,8 +2,10 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -184,7 +186,21 @@ func (s *decideScanner) costList(it *DecideItem) bool {
 		if neg {
 			i++
 		}
-		v, j, valid := parseDigits(b, i)
+		// parseDigits in line, which the decode benchmark reads about
+		// 15% faster than the call.
+		var v uint64
+		var j int
+		var valid bool
+		if len(b)-i >= 8 {
+			var n int
+			if v, n = wordDigits(binary.LittleEndian.Uint64(b[i:])); n < 8 {
+				j, valid = i+n, n == 1 || n > 1 && b[i] != '0'
+			} else {
+				v, j, valid = parseDigitBytes(b, i)
+			}
+		} else {
+			v, j, valid = parseDigitBytes(b, i)
+		}
 		if !valid {
 			break
 		}
@@ -193,11 +209,16 @@ func (s *decideScanner) costList(it *DecideItem) bool {
 			c = -c
 		}
 		costs = append(costs, c)
-		if i = skipSpace(b, j); i >= len(b) || b[i] != ',' {
+		// json.Marshal puts the comma right after the literal.
+		if j < len(b) && b[j] == ',' {
+			i = j + 1
+		} else if i = skipSpace(b, j); i < len(b) && b[i] == ',' {
+			i++
+		} else {
 			ok = i < len(b) && b[i] == ']'
 			break
 		}
-		i = skipSpace(b, i+1)
+		i = skipSpace(b, i)
 	}
 	s.costs, s.i = costs, i+1
 	it.Costs = costs[start:len(costs):len(costs)]
@@ -215,8 +236,40 @@ func skipSpace(b []byte, i int) int {
 
 // parseDigits converts the unsigned integer literal at b[i:], of at
 // most maxDigits digits and without a leading zero, and returns the
-// index after its last digit.
+// index after its last digit. A literal of fewer than eight digits with
+// eight bytes left at i is converted as one word; longer literals and
+// the last bytes of a body go to parseDigitBytes.
 func parseDigits(b []byte, i int) (uint64, int, bool) {
+	if len(b)-i >= 8 {
+		if v, n := wordDigits(binary.LittleEndian.Uint64(b[i:])); n < 8 {
+			return v, i + n, n == 1 || n > 1 && b[i] != '0'
+		}
+	}
+	return parseDigitBytes(b, i)
+}
+
+// wordDigits returns the number of leading decimal digits in the eight
+// bytes of w, the first in its lowest byte, and their value when there
+// are fewer than eight.
+func wordDigits(w uint64) (uint64, int) {
+	// The high bit of a byte c is set in c+0x46 for c in [':', 0xba)
+	// and in c−'0' for c < '0' and c ≥ 0xb0, so it is set exactly for
+	// the non-digits. A carry or borrow runs only upward, from a
+	// non-digit, so the lowest flagged byte is the first non-digit.
+	nonDigit := ((w + 0x4646464646464646) | (w - 0x3030303030303030)) & 0x8080808080808080
+	n := bits.TrailingZeros64(nonDigit) >> 3
+	// The digits shifted to the top of the word read as an eight-digit
+	// number with leading zeros: combine byte pairs, then pairs of
+	// pairs, then the two halves. The mask keeps the shift under 64
+	// for the compiler; at n == 0 the value is not used.
+	w = w << ((64 - 8*n) & 63) & 0x0f0f0f0f0f0f0f0f
+	w = w * (1 + 10<<8) >> 8 & 0x00ff00ff00ff00ff
+	w = w * (1 + 100<<16) >> 16 & 0x0000ffff0000ffff
+	return w * (1 + 10000<<32) >> 32, n
+}
+
+// parseDigitBytes is parseDigits one byte at a time.
+func parseDigitBytes(b []byte, i int) (uint64, int, bool) {
 	start := i
 	var v uint64
 	for i < len(b) && i-start < maxDigits+1 {
@@ -272,11 +325,12 @@ func (s *decideScanner) run() int {
 }
 
 // AppendDecideResponse appends resp as json.NewEncoder(w).Encode
-// writes it, trailing newline included: omitempty on error and levels,
-// encoding/json's float format for mean_level, and HTML-safe escaping
-// of error. Like the Encoder, which writes nothing for a value it
-// cannot encode, it returns dst unchanged when a mean_level is NaN or
-// infinite.
+// writes it, trailing newline included: {"results":[, each result as
+// AppendDecideResult appends it, commas between them, and ]} and a
+// newline, or "null" for nil results. Like the Encoder, which writes
+// nothing for a value it cannot encode, it returns dst unchanged when a
+// mean_level is NaN or infinite. qosd's decide handler writes the same
+// layout one result at a time.
 func AppendDecideResponse(dst []byte, resp *DecideResponse) []byte {
 	// Grow once up front: a result's other fields take about 160
 	// bytes, an escaped error at most six per byte, and a level index
@@ -301,14 +355,17 @@ func AppendDecideResponse(dst []byte, resp *DecideResponse) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendDecideResult(b, &resp.Results[i])
+			b = AppendDecideResult(b, &resp.Results[i])
 		}
 		b = append(b, ']')
 	}
 	return append(b, "}\n"...)
 }
 
-func appendDecideResult(b []byte, r *DecideResult) []byte {
+// AppendDecideResult appends r as encoding/json encodes it: omitempty
+// on error and levels, encoding/json's float format for mean_level, and
+// HTML-safe escaping of error. r.MeanLevel must be finite.
+func AppendDecideResult(b []byte, r *DecideResult) []byte {
 	b = append(b, `{"stream":`...)
 	b = strconv.AppendUint(b, r.Stream, 10)
 	b = append(b, `,"code":`...)
@@ -319,17 +376,14 @@ func appendDecideResult(b []byte, r *DecideResult) []byte {
 	}
 	if len(r.Levels) > 0 {
 		b = append(b, `,"levels":[`...)
-		for i, l := range r.Levels {
-			if i > 0 {
-				b = append(b, ',')
-			}
+		for _, l := range r.Levels {
 			if uint(l) < 10 {
-				b = append(b, byte('0'+l))
+				b = append(b, byte('0'+l), ',')
 			} else {
-				b = strconv.AppendInt(b, int64(l), 10)
+				b = append(strconv.AppendInt(b, int64(l), 10), ',')
 			}
 		}
-		b = append(b, ']')
+		b[len(b)-1] = ']' // over the last comma
 	}
 	b = append(b, `,"elapsed":`...)
 	b = strconv.AppendInt(b, r.Elapsed, 10)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -15,17 +17,73 @@ import (
 // must fall back.
 
 func FuzzDecodeDecideRequest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var got, want DecideRequest
-		gotErr := DecodeDecideRequest(body, &got)
-		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Fatalf("body %q: error %v, encoding/json %v", body, gotErr, wantErr)
+	f.Fuzz(checkDecode)
+}
+
+// checkDecode holds DecodeDecideRequest to encoding/json on body: the
+// same error text and the same decoded request.
+func checkDecode(t *testing.T, body []byte) {
+	t.Helper()
+	var got, want DecideRequest
+	gotErr := DecodeDecideRequest(body, &got)
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("body %q: error %v, encoding/json %v", body, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q:\ndecoded      %#v\nencoding/json %#v", body, got, want)
+	}
+}
+
+// TestDecodeIntegerLiterals runs every edge of the eight-byte
+// conversion through checkDecode: literals of 1 to 19 digits, plain,
+// with a leading zero and with a minus sign, as a cost and as a stream,
+// each followed by every byte value or directly by the rest of the
+// body, and cut so that 0 to 9 bytes of the body follow the literal.
+// A conversion that misses a literal it should accept still decodes
+// right, through encoding/json, so parseDigits is also held to a byte
+// loop on each of them.
+func TestDecodeIntegerLiterals(t *testing.T) {
+	const digits = "9876543210987654321"
+	for _, c := range []struct{ prefix, rest string }{
+		{`{"items":[{"stream":1,"costs":[`, "]}]}     "},
+		{`{"items":[{"stream":1,"costs":[`, ",7]}]}   "},
+		{`{"items":[{"stream":`, "}]}      "},
+	} {
+		for n := 1; n <= len(digits); n++ {
+			for _, lit := range []string{digits[:n], "0" + digits[:n-1], "-" + digits[:n]} {
+				body := []byte(c.prefix + lit)
+				at := len(body)
+				for term := -1; term < 256; term++ {
+					body = body[:at]
+					if term >= 0 {
+						body = append(body, byte(term))
+					}
+					body = append(body, c.rest...)
+					for left := 0; left <= 9; left++ {
+						checkDecode(t, body[:at+left])
+						checkDigits(t, body[:at+left], at-len(strings.TrimPrefix(lit, "-")))
+					}
+				}
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("body %q:\ndecoded      %#v\nencoding/json %#v", body, got, want)
-		}
-	})
+	}
+}
+
+// checkDigits holds parseDigits(b, i) to a byte loop.
+func checkDigits(t *testing.T, b []byte, i int) {
+	t.Helper()
+	end := i
+	for end < len(b) && b[end] >= '0' && b[end] <= '9' {
+		end++
+	}
+	n := end - i
+	want, err := strconv.ParseUint(string(b[i:end]), 10, 64)
+	ok := err == nil && n <= maxDigits && (n == 1 || b[i] != '0')
+	v, j, valid := parseDigits(b, i)
+	if valid != ok || ok && (v != want || j != end) {
+		t.Fatalf("parseDigits(%q, %d) = %d, %d, %v; want %d, %d, %v", b, i, v, j, valid, want, end, ok)
+	}
 }
 
 func FuzzAppendDecideResponse(f *testing.F) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -40,14 +41,19 @@ func bodyError(w http.ResponseWriter, err error) int {
 	return writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), 0)
 }
 
+// maxFirstRead caps readBody's first allocation, so a declared
+// Content-Length reserves no more than this before its bytes arrive.
+const maxFirstRead = 64 << 10
+
 // readBody reads r's whole body, at most limit bytes, into one buffer
-// sized from Content-Length.
+// that starts at the declared Content-Length, capped at maxFirstRead,
+// and grows as a longer body arrives.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	n := r.ContentLength
 	if n < 0 || n > limit {
 		n = 0
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, maxFirstRead)+bytes.MinRead))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf.Bytes(), err
 }
@@ -195,10 +201,11 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("at most %d items per batch", d.cfg.MaxBatch), 0)
 	}
-	resp := api.DecideResponse{Results: make([]api.DecideResult, len(req.Items))}
-	// One backing array holds every item's levels: a cycle runs each
-	// action of its schedule once, so an item needs maxActions at most.
-	levels := make([]int, len(req.Items)*d.maxActions)
+	// Every item's cycle records its levels in one buffer in turn: a
+	// cycle runs each action of its schedule once, so it needs
+	// maxActions at most, and its result is appended before the next
+	// item runs.
+	levels := make([]int, 0, d.maxActions)
 	// One registry lock resolves the whole batch. A stream released
 	// after it is resolved stays unserved: runCycle checks st.gone
 	// under st.mu. A batch of up to 32 items resolves into the stack.
@@ -209,6 +216,14 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 		sts = append(sts, d.streams[req.Items[i].Stream])
 	}
 	d.mu.Unlock()
+	// Nothing decoded points into body, so its buffer carries the
+	// reply, laid out as api.AppendDecideResponse writes it, and each
+	// result is appended as soon as its cycle ends. A result's
+	// mean_level is a mean of level indexes (0 without decisions), so
+	// it is always finite. A result without levels takes about 100
+	// bytes, so a batch of short items grows the buffer once, not step
+	// by step.
+	reply := append(slices.Grow(body[:0], len(req.Items)*128), `{"results":[`...)
 	// The items' controller statistics reach their model's totals once
 	// per run of items of one model, not once per item.
 	var m *model
@@ -220,21 +235,24 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 			}
 			m, sum = st.m, core.ControllerStats{}
 		}
-		resp.Results[i] = d.decideOne(&req.Items[i], st, levels[i*d.maxActions:i*d.maxActions:(i+1)*d.maxActions], &sum)
+		res := d.decideOne(&req.Items[i], st, levels, &sum)
+		if i > 0 {
+			reply = append(reply, ',')
+		}
+		reply = api.AppendDecideResult(reply, &res)
 	}
 	if m != nil {
 		m.ctrl.fold(&sum)
 	}
-	// Nothing decoded points into body, so its buffer carries the reply.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(api.AppendDecideResponse(body[:0], &resp))
+	_, _ = w.Write(append(reply, "]}\n"...))
 	return http.StatusOK
 }
 
 // decideOne runs one stream (nil if unknown) through one controlled
-// cycle, appending its levels to levels and adding its controller
-// statistics to sum.
+// cycle, recording its levels in levels' backing array and adding its
+// controller statistics to sum.
 func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int, sum *core.ControllerStats) api.DecideResult {
 	out := api.DecideResult{Stream: item.Stream}
 	if st == nil {
@@ -296,7 +314,7 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 	st.costs, st.load, st.levels = item.Costs, min(max(item.Load, 0), 1), levels
 	res, err := st.sess.RunFunc(st.workload)
 	levels = st.levels
-	// The request's costs and level slab do not outlive it.
+	// The request's costs and levels buffer do not outlive it.
 	st.costs, st.levels = nil, nil
 	if err != nil {
 		if errors.Is(err, mixer.ErrGrantRevoked) {

@@ -97,8 +97,8 @@ type stream struct {
 	// The running cycle's workload: workload is st.cost, bound once at
 	// register. It reads the item's costs (nil between cycles) or its
 	// clamped synthetic load, and records each decided level's index in
-	// levels, the item's slice of the request's level slab. sys is the
-	// served system, cached at register so cost reads it directly.
+	// levels, the request's levels buffer. sys is the served system,
+	// cached at register so cost reads it directly.
 	workload func(core.ActionID, core.Level) core.Cycles
 	sys      *core.System
 	costs    []int64

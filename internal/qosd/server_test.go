@@ -254,9 +254,113 @@ func TestQosdDecideItemCodes(t *testing.T) {
 	}
 }
 
+// TestQosdDecideReplyMixedBatch: the handler appends each result as its
+// cycle ends, and the whole reply must be the bytes AppendDecideResponse
+// and encoding/json write for the same results, over a batch that takes
+// every result path, and over empty and null item lists.
+func TestQosdDecideReplyMixedBatch(t *testing.T) {
+	d, srv := newTestDaemon(t, func(c *Config) {
+		c.Budget = 1000
+		c.LeaseEpochs = 1 // no reaper runs: epochs advance only below
+	})
+	budget := d.models["chain"].budget
+	revoked := admitN(t, srv, 1)[0].ID
+	for i := 0; budget.Stats().Revoked == 0; i++ {
+		if i == 10 {
+			t.Fatalf("stream %d not revoked after %d epochs: %+v", revoked, i, budget.Stats())
+		}
+		budget.Rebalance()
+	}
+	sts := admitN(t, srv, 4)
+	a, b, released, gone := sts[0].ID, sts[1].ID, sts[2].ID, sts[3].ID
+	if code, _ := postJSON(t, srv.URL+"/v1/release", api.ReleaseRequest{Stream: released}, nil); code != http.StatusOK {
+		t.Fatalf("release: HTTP %d", code)
+	}
+	// A release that lands after the batch resolved its streams: the
+	// stream is torn down while its registry entry remains.
+	d.mu.Lock()
+	st := d.streams[gone]
+	d.mu.Unlock()
+	st.mu.Lock()
+	d.teardownLocked(st)
+	st.mu.Unlock()
+
+	serve := func(body []byte) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("decide %s: HTTP %d: %s", body, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	reply := serve(mustMarshal(t, api.DecideRequest{Items: []api.DecideItem{
+		{Stream: a, Costs: []int64{20, 20}},
+		{Stream: b, Load: 0.5},
+		{Stream: 999},
+		{Stream: released},
+		{Stream: gone},
+		{Stream: a, Costs: []int64{1, 2, 3}},
+		{Stream: b, Costs: []int64{-1, 5}},
+		{Stream: a, Costs: []int64{1000, 1000}},
+		{Stream: revoked},
+	}}))
+	var dr api.DecideResponse
+	if err := json.Unmarshal(reply, &dr); err != nil {
+		t.Fatalf("reply %s: %v", reply, err)
+	}
+	want := []struct {
+		code int
+		err  string
+	}{
+		{api.DecideOK, ""},
+		{api.DecideOK, ""},
+		{api.DecideUnknown, "unknown stream"},
+		{api.DecideUnknown, "unknown stream"},
+		{api.DecideUnknown, "stream released"},
+		{api.DecideBadCosts, "costs length 3, schedule has 2 actions"},
+		{api.DecideBadCosts, "negative cost"},
+		{api.DecideOK, ""},
+		{api.DecideRevoked, "mixer: grant revoked (lease expired or released)"},
+	}
+	if len(dr.Results) != len(want) {
+		t.Fatalf("%d results for %d items: %s", len(dr.Results), len(want), reply)
+	}
+	for i, r := range dr.Results {
+		if r.Code != want[i].code || r.Error != want[i].err {
+			t.Fatalf("item %d: code %d %q, want %d %q", i, r.Code, r.Error, want[i].code, want[i].err)
+		}
+		if (r.Code == api.DecideOK) != (len(r.Levels) == 2) {
+			t.Fatalf("item %d: code %d with levels %v", i, r.Code, r.Levels)
+		}
+	}
+	if dr.Results[7].Fallbacks == 0 {
+		t.Fatalf("fallback-forcing item did not fall back: %+v", dr.Results[7])
+	}
+	sameAsReference := func(reply []byte, resp *api.DecideResponse) {
+		t.Helper()
+		if got := api.AppendDecideResponse(nil, resp); !bytes.Equal(reply, got) {
+			t.Fatalf("reply differs from AppendDecideResponse:\nreply     %s\nreference %s", reply, got)
+		}
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(resp); err != nil || !bytes.Equal(reply, enc.Bytes()) {
+			t.Fatalf("reply differs from encoding/json (%v):\nreply         %s\nencoding/json %s", err, reply, enc.Bytes())
+		}
+	}
+	sameAsReference(reply, &dr)
+	for _, body := range []string{`{"items":[]}`, `{"items":null}`, `{}`} {
+		reply := serve([]byte(body))
+		if string(reply) != "{\"results\":[]}\n" {
+			t.Fatalf("decide %s: reply %q", body, reply)
+		}
+		sameAsReference(reply, &api.DecideResponse{Results: []api.DecideResult{}})
+	}
+}
+
 // TestQosdDecideAllocsFlat: a decide request's allocations do not grow
 // with its item count — costs, levels and the reply each share one
-// per-request buffer, and the workload function is bound per stream.
+// per-request buffer, and the workload function is bound per stream —
+// and neither do its bytes with its items times the schedule length.
 func TestQosdDecideAllocsFlat(t *testing.T) {
 	d, srv := newTestDaemon(t, nil)
 	st := admitN(t, srv, 1)[0]
@@ -282,6 +386,76 @@ func TestQosdDecideAllocsFlat(t *testing.T) {
 	t.Logf("allocs per decide: %.0f for 1 item, %.0f for 16", one, sixteen)
 	if sixteen > one+4 {
 		t.Fatalf("decide allocations grow with items: %.0f for 1 item, %.0f for 16", one, sixteen)
+	}
+
+	// On the 72-action MPEG body model, a buffer of items × actions
+	// levels would take 1024 × 72 × 8 B; the whole request must take
+	// less.
+	mpeg, err := New(Config{Models: []ModelFile{{Name: "mpeg_body", Path: "../../examples/models/mpeg_body.qos"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mpeg.Drain)
+	const items = 1024
+	req := api.DecideRequest{Items: make([]api.DecideItem, items)}
+	for i := range req.Items {
+		req.Items[i].Stream = uint64(1000 + i) // unknown
+	}
+	body := mustMarshal(t, req)
+	h = mpeg.Handler()
+	perRequest := bytesPerRun(20, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("decide: HTTP %d: %s", rec.Code, rec.Body)
+		}
+	})
+	bound := uint64(items * mpeg.maxActions * 8)
+	t.Logf("bytes per decide of %d unknown items (%d B body): %d, bound %d", items, len(body), perRequest, bound)
+	if perRequest >= bound {
+		t.Fatalf("decide of %d items allocates %d B per request, not under items × maxActions × 8 = %d B",
+			items, perRequest, bound)
+	}
+}
+
+// bytesPerRun reports the mean heap bytes allocated by one call of f,
+// over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestQosdDecideShortBodyAllocation: a decide request whose
+// Content-Length declares the whole body limit but whose body is short
+// reserves no buffer of the declared size before its bytes arrive.
+func TestQosdDecideShortBodyAllocation(t *testing.T) {
+	d, err := New(Config{Models: []ModelFile{{Name: "mpeg_body", Path: "../../examples/models/mpeg_body.qos"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Drain)
+	if d.decideLimit < 2<<20 {
+		t.Fatalf("decide limit %d B is too small to show a declared-length allocation", d.decideLimit)
+	}
+	h := d.Handler()
+	perRequest := bytesPerRun(5, func() {
+		r := httptest.NewRequest(http.MethodPost, "/v1/decide", strings.NewReader(`{"items":[]}`))
+		r.ContentLength = d.decideLimit
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("decide: HTTP %d: %s", rec.Code, rec.Body)
+		}
+	})
+	t.Logf("bytes per short decide declaring %d B: %d", d.decideLimit, perRequest)
+	if perRequest >= 1<<20 {
+		t.Fatalf("short decide declaring %d B allocates %d B per request, want under 1 MiB", d.decideLimit, perRequest)
 	}
 }
 
