@@ -41,10 +41,17 @@ import (
 )
 
 // Server timeouts against slow clients: a client gets readHeaderTimeout
-// to send its request headers, and an idle keep-alive connection is
-// closed after idleTimeout.
-const (
+// to send its request headers and readTimeout to send its whole
+// request, body included; the reply must be written within
+// writeTimeout beyond -admit-timeout, which an admit may spend queued
+// for capacity; and an idle keep-alive connection is closed after
+// idleTimeout. A client that stalls is cut off, and so are the
+// goroutine and the decide buffers its request holds. Variables, so
+// that tests can shorten them.
+var (
 	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 10 * time.Second
 	idleTimeout       = 60 * time.Second
 )
 
@@ -115,6 +122,8 @@ func realMain(ctx context.Context, argv []string, stdout, stderr io.Writer) int 
 	srv := &http.Server{
 		Handler:           d.Handler(),
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      *admitTimeout + writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 	serveErr := make(chan error, 1)

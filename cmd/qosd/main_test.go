@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -33,34 +36,36 @@ func (b *syncBuffer) String() string {
 
 var listenLine = regexp.MustCompile(`listening on (\S+)`)
 
+// bootDaemon runs realMain with args on a free port until ctx is done
+// and returns the daemon's base URL and the channel that receives its
+// exit code.
+func bootDaemon(t *testing.T, ctx context.Context, args ...string) (base string, done <-chan int, stdout, stderr *syncBuffer) {
+	t.Helper()
+	stdout, stderr = new(syncBuffer), new(syncBuffer)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- realMain(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), stdout, stderr)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m := listenLine.FindStringSubmatch(stdout.String()); m != nil {
+			return "http://" + m[1], exit, stdout, stderr
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never announced its address\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestQosdMainServesAndDrains boots the real binary entry point on a
 // free port, drives one admit→decide→release round trip over HTTP, and
 // shuts it down through the signal context — the full daemon lifecycle.
 func TestQosdMainServesAndDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var stdout, stderr syncBuffer
-	done := make(chan int, 1)
-	go func() {
-		done <- realMain(ctx, []string{
-			"-addr", "127.0.0.1:0",
-			"-model", "../../examples/models/mpeg_body.qos",
-			"-epoch", "50ms",
-		}, &stdout, &stderr)
-	}()
-
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never announced its address\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
-		}
-		if m := listenLine.FindStringSubmatch(stdout.String()); m != nil {
-			addr = m[1]
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	base := "http://" + addr
+	base, done, stdout, stderr := bootDaemon(t, ctx,
+		"-model", "../../examples/models/mpeg_body.qos",
+		"-epoch", "50ms")
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -138,5 +143,110 @@ func TestQosdMainUsageErrors(t *testing.T) {
 	}
 	if code := realMain(context.Background(), []string{"-model", "does-not-exist.qos"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("missing model: exit %d", code)
+	}
+}
+
+// TestQosdMainCutsStalledClients: clients that send decide headers
+// with a Content-Length and then stall are cut off once readTimeout
+// has passed, and the daemon's goroutines return to their count before
+// them; meanwhile a well-behaved client's admit and decide succeed. An
+// admit that queues for the whole -admit-timeout still gets its 429
+// written: the write deadline leaves room for it.
+func TestQosdMainCutsStalledClients(t *testing.T) {
+	saved := [2]time.Duration{readTimeout, writeTimeout}
+	readTimeout, writeTimeout = 300*time.Millisecond, 100*time.Millisecond
+	t.Cleanup(func() { readTimeout, writeTimeout = saved[0], saved[1] })
+	const margin = 2 * time.Second
+
+	ctx, cancel := context.WithCancel(context.Background())
+	base, done, _, stderr := bootDaemon(t, ctx,
+		"-model", "../../examples/models/mpeg_body.qos",
+		"-admit-timeout", "400ms")
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		return resp.StatusCode, b.String()
+	}
+	// settle waits until at most want goroutines run, or fails after
+	// the read deadline plus the margin.
+	settle := func(what string, want int) {
+		t.Helper()
+		deadline := time.Now().Add(readTimeout + margin)
+		for runtime.NumGoroutine() > want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	baseline := runtime.NumGoroutine()
+
+	const stalled = 4
+	addr := strings.TrimPrefix(base, "http://")
+	conns := make([]net.Conn, stalled)
+	start := time.Now()
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, "POST /v1/decide HTTP/1.1\r\nHost: qosd\r\n"+
+			"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"items\":["); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+
+	// A well-behaved client is served while the stalled ones wait.
+	code, body := post("/v1/admit", `{"model":"mpeg_body"}`)
+	id := regexp.MustCompile(`"id":(\d+)`).FindStringSubmatch(body)
+	if code != http.StatusOK || id == nil {
+		t.Fatalf("admit: HTTP %d: %s", code, body)
+	}
+	code, body = post("/v1/decide", fmt.Sprintf(`{"items":[{"stream":%s,"load":0.5}]}`, id[1]))
+	if code != http.StatusOK || !strings.Contains(body, `"code":200`) || !strings.Contains(body, `"misses":0`) {
+		t.Fatalf("decide beside stalled clients: HTTP %d: %s", code, body)
+	}
+
+	// Each stalled client is answered and closed by the read deadline.
+	for i, c := range conns {
+		c.SetReadDeadline(start.Add(readTimeout + margin))
+		reply, err := io.ReadAll(c)
+		if err != nil {
+			t.Fatalf("stalled client %d not cut off within %v: %v (read %q)", i, readTimeout+margin, err, reply)
+		}
+		if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
+			t.Fatalf("stalled client %d: reply %q", i, reply)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > readTimeout+margin {
+		t.Fatalf("stalled clients cut off after %v, read deadline %v", elapsed, readTimeout)
+	}
+	client.CloseIdleConnections()
+	settle("after the stalled clients", baseline)
+
+	// An admit the budget cannot carry queues for the whole admit
+	// timeout, longer than writeTimeout alone, and is still answered.
+	code, body = post("/v1/admit", `{"model":"mpeg_body","streams":1024}`)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity admit: HTTP %d: %s", code, body)
+	}
+
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit code %d\nstderr: %s", code, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down on context cancellation")
 	}
 }

@@ -8,11 +8,28 @@ import (
 	"math/bits"
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // DecodeDecideRequest overwrites *req with the /v1/decide request in
-// body. A body in the plain shape json.Marshal emits is scanned
-// directly:
+// body, decoded into fresh buffers: it is a DecideDecoder's Decode on a
+// zero DecideDecoder.
+func DecodeDecideRequest(body []byte, req *DecideRequest) error {
+	var d DecideDecoder
+	return d.Decode(body, req)
+}
+
+// DecideDecoder decodes /v1/decide requests into buffers it keeps from
+// one Decode to the next: one array of items and one array that backs
+// every item's costs. The zero value is ready to use; a DecideDecoder
+// must not be used by two goroutines at once.
+type DecideDecoder struct {
+	items []DecideItem
+	costs []int64
+}
+
+// Decode overwrites *req with the /v1/decide request in body. A body in
+// the plain shape json.Marshal emits is scanned directly:
 //
 //   - the exact keys "items", "stream", "costs" and "load", none
 //     escaped or repeated within its object;
@@ -20,20 +37,34 @@ import (
 //     sign on stream), load as any JSON number;
 //   - any JSON whitespace, and nothing after the closing brace.
 //
-// All costs of one request share one backing array. Any other body —
-// other keys or key case, null, fractions or exponents in integer
-// fields, longer literals, trailing bytes, malformed JSON — is decoded
-// by encoding/json's Decoder, which reads the first JSON value and
-// ignores the rest, so the accepted bodies, the decoded values and the
-// error texts are encoding/json's.
-func DecodeDecideRequest(body []byte, req *DecideRequest) error {
-	s := decideScanner{b: body}
-	if items, ok := s.request(); ok {
+// A scanned request's items and costs live in d's buffers, which grow
+// only when a body needs more than they hold, so req aliases them until
+// the next Decode. Any other body — other keys or key case, null,
+// fractions or exponents in integer fields, longer literals, trailing
+// bytes, malformed JSON — is decoded by encoding/json's Decoder into
+// fresh arrays, which reads the first JSON value and ignores the rest,
+// so the accepted bodies, the decoded values and the error texts are
+// encoding/json's.
+func (d *DecideDecoder) Decode(body []byte, req *DecideRequest) error {
+	s := decideScanner{b: body, items: d.items[:0], costs: d.costs[:0]}
+	items, ok := s.request()
+	d.items, d.costs = s.items, s.costs
+	if ok {
 		*req = DecideRequest{Items: items}
 		return nil
 	}
-	*req = DecideRequest{}
-	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+	// A fresh request, so that only this path hands a value to
+	// encoding/json and req stays on its caller's stack.
+	var fresh DecideRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&fresh)
+	*req = fresh
+	return err
+}
+
+// Retained reports the bytes d's items and costs buffers hold, so a
+// caller that keeps decoders can bound what they pin.
+func (d *DecideDecoder) Retained() int {
+	return cap(d.items)*int(unsafe.Sizeof(DecideItem{})) + cap(d.costs)*int(unsafe.Sizeof(int64(0)))
 }
 
 // DecideBodyLimit is the largest /v1/decide body a daemon reads for
@@ -51,11 +82,15 @@ func DecideBodyLimit(maxBatch, actions int) int64 {
 const maxDigits = 18
 
 // decideScanner walks one body in the plain shape. Every method
-// reports false as soon as the body leaves that shape.
+// reports false as soon as the body leaves that shape. It starts from a
+// decoder's items and costs arrays, emptied, and allocates only when
+// the body needs more than their capacity.
 type decideScanner struct {
 	b     []byte
 	i     int
+	items []DecideItem
 	costs []int64 // backing array of every item's Costs
+	sized bool    // costs checked against the body's cost count
 }
 
 // next skips whitespace and consumes c if it comes next.
@@ -124,8 +159,10 @@ func (s *decideScanner) object(member func() bool) bool {
 	}
 }
 
+// request scans the whole body into s.items and reports whether it is
+// in the plain shape. It returns the items, nil for a body without an
+// items key.
 func (s *decideScanner) request() ([]DecideItem, bool) {
-	var items []DecideItem
 	seen := false
 	ok := s.next('{') && s.object(func() bool {
 		if seen || !s.key("items") || !s.next('[') {
@@ -133,15 +170,23 @@ func (s *decideScanner) request() ([]DecideItem, bool) {
 		}
 		seen = true
 		// Every item json.Marshal emits names its stream, so this
-		// count sizes items exactly for plain bodies.
-		items = make([]DecideItem, 0, bytes.Count(s.b[s.i:], []byte(`"stream"`)))
+		// count sizes items exactly for plain bodies. A reused array
+		// must still be non-nil: encoding/json decodes [] to an empty
+		// slice, not nil.
+		if n := bytes.Count(s.b[s.i:], []byte(`"stream"`)); s.items == nil || cap(s.items) < n {
+			s.items = make([]DecideItem, 0, n)
+		}
 		return s.list(func() bool {
-			items = append(items, DecideItem{})
-			return s.next('{') && s.item(&items[len(items)-1])
+			s.items = append(s.items, DecideItem{})
+			return s.next('{') && s.item(&s.items[len(s.items)-1])
 		})
 	})
 	s.i = skipSpace(s.b, s.i)
-	return items, ok && s.i == len(s.b)
+	ok = ok && s.i == len(s.b)
+	if !seen {
+		return nil, ok
+	}
+	return s.items, ok
 }
 
 func (s *decideScanner) item(it *DecideItem) bool {
@@ -169,13 +214,19 @@ func (s *decideScanner) item(it *DecideItem) bool {
 // digits without a leading zero, and the closing bracket, in one loop.
 func (s *decideScanner) costList(it *DecideItem) bool {
 	b := s.b
-	if s.costs == nil {
+	if !s.sized {
 		// In the plain shape a comma separates every two costs, in
 		// one array or in two, so the commas left plus one bound the
 		// costs left and the backing array never grows. A cost also
-		// takes two bytes, which caps the size for other bodies.
+		// takes two bytes, which caps the size for other bodies and
+		// spares the count when the reused array holds that many.
+		s.sized = true
 		rest := b[s.i:]
-		s.costs = make([]int64, 0, min(bytes.Count(rest, []byte{','}), len(rest)/2)+1)
+		if n := len(rest)/2 + 1; cap(s.costs) < n {
+			if n = min(bytes.Count(rest, []byte{','}), len(rest)/2) + 1; cap(s.costs) < n {
+				s.costs = make([]int64, 0, n)
+			}
+		}
 	}
 	costs := s.costs
 	start := len(costs)

@@ -21,18 +21,50 @@ func FuzzDecodeDecideRequest(f *testing.F) {
 }
 
 // checkDecode holds DecodeDecideRequest to encoding/json on body: the
-// same error text and the same decoded request.
+// same error text and the same decoded request. It holds a reused
+// DecideDecoder to the same, right after the decoder scanned a larger
+// body into its buffers.
 func checkDecode(t *testing.T, body []byte) {
 	t.Helper()
-	var got, want DecideRequest
-	gotErr := DecodeDecideRequest(body, &got)
+	var want DecideRequest
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("body %q: error %v, encoding/json %v", body, gotErr, wantErr)
+	check := func(how string, got DecideRequest, gotErr error) {
+		t.Helper()
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("body %q, %s: error %v, encoding/json %v", body, how, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q, %s:\ndecoded      %#v\nencoding/json %#v", body, how, got, want)
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("body %q:\ndecoded      %#v\nencoding/json %#v", body, got, want)
+	var got DecideRequest
+	err := DecodeDecideRequest(body, &got)
+	check("fresh buffers", got, err)
+
+	var d DecideDecoder
+	larger := largerBody(body)
+	if err := d.Decode(larger, &got); err != nil || len(got.Items) == 0 || d.Retained() == 0 {
+		t.Fatalf("larger body %q: %d items, error %v", larger, len(got.Items), err)
 	}
+	err = d.Decode(body, &got)
+	check("reused buffers", got, err)
+}
+
+// largerBody returns a body in the plain shape, every stream and cost
+// nonzero, that leaves a decoder's buffers holding more than body needs:
+// one item more than body names streams, and more costs than body has
+// pairs of bytes, so the decode of body sizes nothing anew.
+func largerBody(body []byte) []byte {
+	b := []byte(`{"items":[{"stream":7,"costs":[1`)
+	for i := 2; i <= len(body)/2+2; i++ {
+		b = strconv.AppendInt(append(b, ','), int64(i), 10)
+	}
+	b = append(b, `],"load":0.5}`...)
+	for i := bytes.Count(body, []byte(`"stream"`)); i > 0; i-- {
+		b = strconv.AppendInt(append(b, `,{"stream":`...), int64(i+7), 10)
+		b = append(b, `,"costs":[3],"load":1}`...)
+	}
+	return append(b, "]}"...)
 }
 
 // TestDecodeIntegerLiterals runs every edge of the eight-byte
@@ -162,6 +194,16 @@ func BenchmarkDecideCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var req DecideRequest
 			if err := DecodeDecideRequest(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode/codec-reused", func(b *testing.B) {
+		b.ReportAllocs()
+		var d DecideDecoder
+		var req DecideRequest
+		for i := 0; i < b.N; i++ {
+			if err := d.Decode(body, &req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -45,17 +45,49 @@ func bodyError(w http.ResponseWriter, err error) int {
 // Content-Length reserves no more than this before its bytes arrive.
 const maxFirstRead = 64 << 10
 
-// readBody reads r's whole body, at most limit bytes, into one buffer
-// that starts at the declared Content-Length, capped at maxFirstRead,
-// and grows as a longer body arrives.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// readBody reads r's whole body, at most limit bytes, into buf's
+// capacity. When buf holds less than the declared Content-Length,
+// capped at maxFirstRead, it starts from a new buffer of that size; the
+// buffer grows as a longer body arrives.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, error) {
 	n := r.ContentLength
 	if n < 0 || n > limit {
 		n = 0
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, min(n, maxFirstRead)+bytes.MinRead))
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	return buf.Bytes(), err
+	if first := int(min(n, maxFirstRead)) + bytes.MinRead; cap(buf) < first {
+		buf = make([]byte, 0, first)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return b.Bytes(), err
+}
+
+// decideScratch holds one decide request's buffers: the body, which
+// then carries the reply, the decoder's items and costs, and the levels
+// of the item whose cycle runs. handleDecide takes one from the
+// daemon's pool and puts it back once the reply is written, so a
+// steady stream of requests allocates none of them.
+type decideScratch struct {
+	body   []byte
+	dec    api.DecideDecoder
+	levels []int // capacity maxActions
+}
+
+// getScratch takes a decide scratch from the pool, or makes one.
+func (d *Daemon) getScratch() *decideScratch {
+	if sc, ok := d.scratch.Get().(*decideScratch); ok {
+		return sc
+	}
+	return &decideScratch{levels: make([]int, 0, d.maxActions)}
+}
+
+// putScratch returns sc to the pool unless its body or its decoded
+// items and costs hold more than maxFirstRead bytes: a pooled scratch
+// would keep one large batch's buffers alive for every later request.
+func (d *Daemon) putScratch(sc *decideScratch) {
+	if cap(sc.body) <= maxFirstRead && sc.dec.Retained() <= maxFirstRead {
+		d.scratch.Put(sc)
+	}
 }
 
 // retryAfterSeconds rounds the admit timeout up to whole seconds for
@@ -189,12 +221,25 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if d.draining.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "draining", 0)
 	}
-	body, err := readBody(w, r, d.decideLimit)
+	sc := d.getScratch()
+	code := d.decide(w, r, sc)
+	// Nothing refers to sc any more: the reply is written, and every
+	// stream dropped the costs and levels it was lent when its cycle
+	// ended.
+	d.putScratch(sc)
+	return code
+}
+
+// decide serves one decide request from sc's buffers and keeps in sc
+// whatever buffer the request grew.
+func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratch) int {
+	body, err := readBody(w, r, d.decideLimit, sc.body)
+	sc.body = body
 	if err != nil {
 		return bodyError(w, err)
 	}
 	var req api.DecideRequest
-	if err := api.DecodeDecideRequest(body, &req); err != nil {
+	if err := sc.dec.Decode(body, &req); err != nil {
 		return bodyError(w, err)
 	}
 	if len(req.Items) > d.cfg.MaxBatch {
@@ -205,7 +250,7 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	// cycle runs each action of its schedule once, so it needs
 	// maxActions at most, and its result is appended before the next
 	// item runs.
-	levels := make([]int, 0, d.maxActions)
+	levels := sc.levels[:0]
 	// One registry lock resolves the whole batch. A stream released
 	// after it is resolved stays unserved: runCycle checks st.gone
 	// under st.mu. A batch of up to 32 items resolves into the stack.
@@ -244,9 +289,11 @@ func (d *Daemon) handleDecide(w http.ResponseWriter, r *http.Request) int {
 	if m != nil {
 		m.ctrl.fold(&sum)
 	}
+	reply = append(reply, "]}\n"...)
+	sc.body = reply
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(append(reply, "]}\n"...))
+	_, _ = w.Write(reply)
 	return http.StatusOK
 }
 

@@ -123,6 +123,10 @@ type Daemon struct {
 	mu      sync.Mutex
 	streams map[uint64]*stream
 
+	// scratch pools the buffers of /v1/decide requests
+	// (*decideScratch): see getScratch and putScratch.
+	scratch sync.Pool
+
 	// Reaper lifecycle: StartReaper spawns the goroutine once
 	// (reaperOn), StopReaper closes reaperStop once (reaperStopped) and
 	// joins on reaperDone, which the goroutine closes on exit. The

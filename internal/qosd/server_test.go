@@ -294,7 +294,7 @@ func TestQosdDecideReplyMixedBatch(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
-	reply := serve(mustMarshal(t, api.DecideRequest{Items: []api.DecideItem{
+	batch := mustMarshal(t, api.DecideRequest{Items: []api.DecideItem{
 		{Stream: a, Costs: []int64{20, 20}},
 		{Stream: b, Load: 0.5},
 		{Stream: 999},
@@ -304,15 +304,12 @@ func TestQosdDecideReplyMixedBatch(t *testing.T) {
 		{Stream: b, Costs: []int64{-1, 5}},
 		{Stream: a, Costs: []int64{1000, 1000}},
 		{Stream: revoked},
-	}}))
-	var dr api.DecideResponse
-	if err := json.Unmarshal(reply, &dr); err != nil {
-		t.Fatalf("reply %s: %v", reply, err)
-	}
-	want := []struct {
+	}})
+	type result struct {
 		code int
 		err  string
-	}{
+	}
+	want := []result{
 		{api.DecideOK, ""},
 		{api.DecideOK, ""},
 		{api.DecideUnknown, "unknown stream"},
@@ -322,20 +319,6 @@ func TestQosdDecideReplyMixedBatch(t *testing.T) {
 		{api.DecideBadCosts, "negative cost"},
 		{api.DecideOK, ""},
 		{api.DecideRevoked, "mixer: grant revoked (lease expired or released)"},
-	}
-	if len(dr.Results) != len(want) {
-		t.Fatalf("%d results for %d items: %s", len(dr.Results), len(want), reply)
-	}
-	for i, r := range dr.Results {
-		if r.Code != want[i].code || r.Error != want[i].err {
-			t.Fatalf("item %d: code %d %q, want %d %q", i, r.Code, r.Error, want[i].code, want[i].err)
-		}
-		if (r.Code == api.DecideOK) != (len(r.Levels) == 2) {
-			t.Fatalf("item %d: code %d with levels %v", i, r.Code, r.Levels)
-		}
-	}
-	if dr.Results[7].Fallbacks == 0 {
-		t.Fatalf("fallback-forcing item did not fall back: %+v", dr.Results[7])
 	}
 	sameAsReference := func(reply []byte, resp *api.DecideResponse) {
 		t.Helper()
@@ -347,7 +330,44 @@ func TestQosdDecideReplyMixedBatch(t *testing.T) {
 			t.Fatalf("reply differs from encoding/json (%v):\nreply         %s\nencoding/json %s", err, reply, enc.Bytes())
 		}
 	}
-	sameAsReference(reply, &dr)
+	checkBatch := func(reply []byte, want []result) {
+		t.Helper()
+		var dr api.DecideResponse
+		if err := json.Unmarshal(reply, &dr); err != nil {
+			t.Fatalf("reply %s: %v", reply, err)
+		}
+		if len(dr.Results) != len(want) {
+			t.Fatalf("%d results for %d items: %s", len(dr.Results), len(want), reply)
+		}
+		for i, r := range dr.Results {
+			if r.Code != want[i].code || r.Error != want[i].err {
+				t.Fatalf("item %d: code %d %q, want %d %q", i, r.Code, r.Error, want[i].code, want[i].err)
+			}
+			if (r.Code == api.DecideOK) != (len(r.Levels) == 2) {
+				t.Fatalf("item %d: code %d with levels %v", i, r.Code, r.Levels)
+			}
+		}
+		if dr.Results[7].Fallbacks == 0 {
+			t.Fatalf("fallback-forcing item did not fall back: %+v", dr.Results[7])
+		}
+		sameAsReference(reply, &dr)
+	}
+	checkBatch(serve(batch), want)
+
+	// The same batch again, right after a larger request and a smaller
+	// one, so that it is served from buffers that held other items,
+	// costs and replies. The revoked stream has left the registry.
+	larger := api.DecideRequest{Items: make([]api.DecideItem, 24)}
+	for i := range larger.Items {
+		larger.Items[i] = api.DecideItem{Stream: b, Costs: []int64{30 + int64(i), 10}}
+	}
+	larger.Items[5] = api.DecideItem{Stream: 998}
+	larger.Items[9].Costs = []int64{4, 5, 6, 7}
+	serve(mustMarshal(t, larger))
+	serve(mustMarshal(t, api.DecideRequest{Items: []api.DecideItem{{Stream: a, Load: 1}}}))
+	want[8] = result{api.DecideUnknown, "unknown stream"}
+	checkBatch(serve(batch), want)
+
 	for _, body := range []string{`{"items":[]}`, `{"items":null}`, `{}`} {
 		reply := serve([]byte(body))
 		if string(reply) != "{\"results\":[]}\n" {
@@ -416,6 +436,32 @@ func TestQosdDecideAllocsFlat(t *testing.T) {
 		t.Fatalf("decide of %d items allocates %d B per request, not under items × maxActions × 8 = %d B",
 			items, perRequest, bound)
 	}
+
+	// In steady state a churn-shaped request is served from pooled
+	// buffers: what it allocates is httptest's request and recorder,
+	// about 10 KiB, and not its 7 KiB body, its 9 KiB of costs or its
+	// items and levels. The race detector's sync.Pool drops Puts at
+	// random, so the bound holds only without it.
+	if raceEnabled {
+		t.Log("race detector on: steady-state bound not checked")
+		return
+	}
+	churn, ids := churnFleet(t)
+	bodies := churnBodies(t, churn, ids, churnItems, 4, 1)
+	h = churn.Handler()
+	n := 0
+	perRequest = bytesPerRun(40, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(bodies[n%len(bodies)])))
+		n++
+		if err := checkServed(rec, churnItems); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("bytes per churn-shaped decide (%d B body): %d", len(bodies[0]), perRequest)
+	if perRequest >= 16<<10 {
+		t.Fatalf("churn-shaped decide allocates %d B per request, want under 16 KiB", perRequest)
+	}
 }
 
 // bytesPerRun reports the mean heap bytes allocated by one call of f,
@@ -457,6 +503,96 @@ func TestQosdDecideShortBodyAllocation(t *testing.T) {
 	if perRequest >= 1<<20 {
 		t.Fatalf("short decide declaring %d B allocates %d B per request, want under 1 MiB", d.decideLimit, perRequest)
 	}
+}
+
+// TestQosdDecideScratchBound: a decide scratch whose body or decoded
+// items and costs grew past maxFirstRead is not put back in the pool;
+// one within it is.
+func TestQosdDecideScratchBound(t *testing.T) {
+	d, _ := newTestDaemon(t, nil)
+	// costs returns a plain body with n costs in one item.
+	costs := func(n int) []byte {
+		return []byte(`{"items":[{"stream":1,"costs":[` + strings.Repeat("1,", n-1) + `1]}]}`)
+	}
+	for _, tc := range []struct {
+		name string
+		grow func(*decideScratch)
+		kept bool
+	}{
+		{"small", func(sc *decideScratch) { sc.body = make([]byte, 0, 8<<10) }, true},
+		{"body at the limit", func(sc *decideScratch) { sc.body = make([]byte, 0, maxFirstRead) }, true},
+		{"body over the limit", func(sc *decideScratch) { sc.body = make([]byte, 0, maxFirstRead+1) }, false},
+		{"costs over the limit", func(sc *decideScratch) {
+			var req api.DecideRequest
+			if err := sc.dec.Decode(costs(maxFirstRead/8+1), &req); err != nil || len(req.Items) != 1 {
+				t.Fatalf("decode: %d items, %v", len(req.Items), err)
+			}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A pool may drop what it is given (the race detector's
+			// does so at random), so a kept scratch need only come
+			// back once in many tries; a dropped one never may.
+			for try := 0; try < 100; try++ {
+				sc := d.getScratch()
+				tc.grow(sc)
+				d.putScratch(sc)
+				got := d.getScratch()
+				if got == sc && !tc.kept {
+					t.Fatalf("scratch with a %d B body and %d B of items and costs was put back",
+						cap(sc.body), sc.dec.Retained())
+				}
+				if got == sc {
+					return
+				}
+			}
+			if tc.kept {
+				t.Fatal("scratch within the bound never came back from the pool")
+			}
+		})
+	}
+}
+
+// TestQosdDecideConcurrentStreams (run with -race): goroutines serving
+// churn-shaped decides on disjoint streams at once, each request from a
+// pooled scratch, get every item served: HTTP 200, one level in range
+// per action and no miss.
+func TestQosdDecideConcurrentStreams(t *testing.T) {
+	d, ids := churnFleet(t)
+	h := d.Handler()
+	levels := len(d.models["mpeg_body"].rt.System().Levels)
+	const workers, requests = 4, 25
+	per := len(ids) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		bodies := churnBodies(t, d, ids[w*per:(w+1)*per], per, 4, int64(w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decide", bytes.NewReader(bodies[i%len(bodies)])))
+				var dr api.DecideResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil || rec.Code != http.StatusOK || len(dr.Results) != per {
+					t.Errorf("decide: HTTP %d, %v: %s", rec.Code, err, rec.Body)
+					return
+				}
+				for _, r := range dr.Results {
+					if r.Code != api.DecideOK || r.Misses != 0 || len(r.Levels) != d.maxActions {
+						t.Errorf("stream %d: code %d (%s), %d misses, %d levels", r.Stream, r.Code, r.Error, r.Misses, len(r.Levels))
+						return
+					}
+					for _, l := range r.Levels {
+						if l < 0 || l >= levels {
+							t.Errorf("stream %d: level %d outside [0, %d)", r.Stream, l, levels)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestQosdBodyLimits: a decide body at the limit computed from MaxBatch
