@@ -268,31 +268,20 @@ func (m *Model) BuildSystem() (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := body
-	if m.Iterate > 1 {
-		g, err = body.Unroll(m.Iterate, true)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n := g.Len()
+	n := len(m.Actions)
 	cav := core.NewTimeFamily(m.Levels, n, 0)
 	cwc := core.NewTimeFamily(m.Levels, n, 0)
 	d := core.NewTimeFamily(m.Levels, n, core.Inf)
-	for a := 0; a < n; a++ {
-		baseName := m.Actions[a%len(m.Actions)]
-		iter := a / len(m.Actions)
+	for a, name := range m.Actions {
 		for _, q := range m.Levels {
-			if v, ok := m.lookupTime(baseName, q); ok {
+			if v, ok := m.lookupTime(name, q); ok {
 				cav.Set(q, core.ActionID(a), v[0])
 				cwc.Set(q, core.ActionID(a), v[1])
 			}
-			if dl, ok := m.lookupDeadline(baseName, q); ok {
-				if m.Iterate == 1 || iter == m.Iterate-1 {
-					d.Set(q, core.ActionID(a), dl)
-				}
+			if dl, ok := m.lookupDeadline(name, q); ok {
+				d.Set(q, core.ActionID(a), dl)
 			}
 		}
 	}
-	return core.NewSystem(g, m.Levels, cav, cwc, d)
+	return core.NewIteratedSystem(body, m.Iterate, m.Levels, cav, cwc, d, nil)
 }

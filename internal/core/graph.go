@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -286,37 +287,108 @@ func (g *Graph) String() string {
 // edges inside each copy and, when chain is true, edges from every sink
 // of copy k to every source of copy k+1. This models the paper's frame
 // treatment: the iteration N times of a macroblock body.
+//
+// Action k·m+a is body action a in iteration k (m = g.Len()), so the
+// graph is built by index arithmetic: successors are g's shifted by k·m,
+// and a chained sink's successors are the next copy's sources. That
+// reproduces the ascending (from, to) edge order GraphBuilder gives.
+// Names share one string, and adjacency lists one slab per direction.
 func (g *Graph) Unroll(n int, chain bool) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: Unroll count %d must be positive", n)
 	}
-	b := NewGraphBuilder()
-	name := func(a ActionID, k int) string {
-		return fmt.Sprintf("%s#%d", g.names[a], k)
+	m := g.Len()
+	if m == 0 {
+		return nil, fmt.Errorf("core: graph has no actions")
 	}
-	for k := 0; k < n; k++ {
-		for a := 0; a < g.Len(); a++ {
-			b.AddAction(name(ActionID(a), k))
-		}
-	}
-	for k := 0; k < n; k++ {
-		for a := 0; a < g.Len(); a++ {
-			for _, s := range g.succs[a] {
-				b.AddEdge(name(ActionID(a), k), name(s, k))
-			}
-		}
-	}
+	total := n * m
+	var sinks, sources []ActionID // the chain edges' ends; none unchained
 	if chain {
-		sinks, sources := g.Sinks(), g.Sources()
-		for k := 0; k+1 < n; k++ {
-			for _, s := range sinks {
-				for _, src := range sources {
-					b.AddEdge(name(s, k), name(src, k+1))
+		sinks, sources = g.Sinks(), g.Sources()
+	}
+	bodyEdges, nameBytes := 0, 0
+	for a := 0; a < m; a++ {
+		bodyEdges += len(g.succs[a])
+		nameBytes += len(g.names[a])
+	}
+	nameBytes *= n
+	for k := 0; k < n; k++ {
+		nameBytes += m * (1 + digits(k))
+	}
+
+	u := &Graph{
+		names: make([]string, total),
+		index: make(map[string]ActionID, total),
+		succs: make([][]ActionID, total),
+		preds: make([][]ActionID, total),
+	}
+	var sb strings.Builder
+	sb.Grow(nameBytes)
+	var suffix [24]byte
+	for k := 0; k < n; k++ {
+		sfx := strconv.AppendInt(append(suffix[:0], '#'), int64(k), 10)
+		for a := 0; a < m; a++ {
+			sb.WriteString(g.names[a])
+			sb.Write(sfx)
+		}
+	}
+	all, off := sb.String(), 0
+	for id := range u.names {
+		end := off + len(g.names[id%m]) + 1 + digits(id/m)
+		u.names[id] = all[off:end]
+		u.index[u.names[id]] = ActionID(id)
+		off = end
+	}
+
+	edges := n*bodyEdges + (n-1)*len(sinks)*len(sources)
+	succSlab := make([]ActionID, 0, edges)
+	predSlab := make([]ActionID, 0, edges)
+	for k := 0; k < n; k++ {
+		base := ActionID(k * m)
+		for a := 0; a < m; a++ {
+			lo := len(succSlab)
+			if len(g.succs[a]) > 0 {
+				for _, s := range g.succs[a] {
+					succSlab = append(succSlab, base+s)
+				}
+			} else if k+1 < n {
+				for _, s := range sources {
+					succSlab = append(succSlab, base+ActionID(m)+s)
 				}
 			}
+			if hi := len(succSlab); hi > lo {
+				u.succs[base+ActionID(a)] = succSlab[lo:hi:hi]
+			}
+			lo = len(predSlab)
+			if len(g.preds[a]) > 0 {
+				for _, p := range g.preds[a] {
+					predSlab = append(predSlab, base+p)
+				}
+			} else if k > 0 {
+				for _, p := range sinks {
+					predSlab = append(predSlab, base-ActionID(m)+p)
+				}
+			}
+			if hi := len(predSlab); hi > lo {
+				u.preds[base+ActionID(a)] = predSlab[lo:hi:hi]
+			}
 		}
 	}
-	return b.Build()
+	topo, err := topoSort(u)
+	if err != nil {
+		return nil, err
+	}
+	u.topo = topo
+	return u, nil
+}
+
+// digits returns the length of k's decimal form, k ≥ 0.
+func digits(k int) int {
+	d := 1
+	for ; k >= 10; k /= 10 {
+		d++
+	}
+	return d
 }
 
 // UnrolledID returns, for a graph produced by Unroll, the ID in the

@@ -35,6 +35,35 @@ func NewSystem(g *Graph, levels LevelSet, cav, cwc, d *TimeFamily) (*System, err
 	return s, nil
 }
 
+// NewIteratedSystem assembles the system whose cycle is n chained
+// iterations of body (Graph.Unroll(n, true); body itself when n is 1)
+// from body-sized parameters: every iteration takes the body's execution
+// times and soft marks, and only the last takes its deadlines (the
+// end-of-cycle convention). The families and mask passed in are not
+// kept when n > 1.
+func NewIteratedSystem(body *Graph, n int, levels LevelSet, cav, cwc, d *TimeFamily, soft []bool) (*System, error) {
+	g := body
+	if n > 1 {
+		var err error
+		if g, err = body.Unroll(n, true); err != nil {
+			return nil, err
+		}
+		cav, cwc, d = cav.Tile(n, 0, 0), cwc.Tile(n, 0, 0), d.Tile(n, n-1, Inf)
+		if soft != nil {
+			tiled := make([]bool, 0, n*len(soft))
+			for k := 0; k < n; k++ {
+				tiled = append(tiled, soft...)
+			}
+			soft = tiled
+		}
+	}
+	s := &System{Graph: g, Levels: levels, Cav: cav, Cwc: cwc, D: d, Soft: soft}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // Validate checks the structural well-formedness conditions of
 // Definition 2.3. It does not check schedulability; use FeasibleAtQmin
 // for the controller's precondition.

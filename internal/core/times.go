@@ -283,6 +283,33 @@ func NewTimeFamily(levels LevelSet, n int, v Cycles) *TimeFamily {
 	return &TimeFamily{Levels: append(LevelSet(nil), levels...), Fns: fns}
 }
 
+// Tile expands a family sized for a body of m actions over n iterations
+// of that body, numbered as Graph.Unroll numbers them: action k·m+a of
+// the result is body action a in iteration k. Iterations from..n−1 take
+// t's values and the earlier ones take v. Tile(n, 0, 0) gives execution
+// times to every iteration; Tile(n, n−1, Inf) gives deadlines to the
+// last one only, the end-of-cycle convention.
+func (t *TimeFamily) Tile(n, from int, v Cycles) *TimeFamily {
+	m := 0
+	if len(t.Fns) > 0 {
+		m = len(t.Fns[0])
+	}
+	out := NewTimeFamily(t.Levels, n*m, 0)
+	for i, f := range t.Fns {
+		fn := out.Fns[i]
+		for k := 0; k < n; k++ {
+			if k < from {
+				for a := range f {
+					fn[k*m+a] = v
+				}
+			} else {
+				copy(fn[k*m:], f)
+			}
+		}
+	}
+	return out
+}
+
 // Clone returns a deep copy of the family.
 func (t *TimeFamily) Clone() *TimeFamily {
 	fns := make([]TimeFn, len(t.Fns))

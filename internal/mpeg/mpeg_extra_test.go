@@ -136,3 +136,38 @@ func TestPerMBDeadlineEncoderFeasibility(t *testing.T) {
 		t.Fatalf("per-MB encoder missed: %+v", rep)
 	}
 }
+
+// TestBuildSystemMatchesPerActionExpansion holds the frame system's
+// times to the per-macroblock expansion BuildSystem ran before it tiled
+// the body's: every action's figure 5 times plus the decision overhead.
+func TestBuildSystemMatchesPerActionExpansion(t *testing.T) {
+	for _, cfg := range []SystemConfig{
+		{Macroblocks: 1, Budget: core.Mcycle},
+		{Macroblocks: 7, Budget: 3 * core.Mcycle, DecisionOverhead: 500},
+		{Macroblocks: 40, Budget: 9 * core.Mcycle, PerMacroblockDeadlines: true},
+	} {
+		fs, err := BuildSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := FrameGraph(cfg.Macroblocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fs.Sys.Graph.String(), g.String(); got != want {
+			t.Fatalf("%+v: frame graph differs from FrameGraph", cfg)
+		}
+		for a := 0; a < g.Len(); a++ {
+			base, _ := SplitID(core.ActionID(a))
+			for _, q := range Levels() {
+				av, wc := Times(base, q)
+				if got := fs.Sys.Cav.At(q, core.ActionID(a)); got != av.AddSat(cfg.DecisionOverhead) {
+					t.Fatalf("%+v: Cav of %s at %d = %v, want %v", cfg, g.Name(core.ActionID(a)), q, got, av.AddSat(cfg.DecisionOverhead))
+				}
+				if got := fs.Sys.Cwc.At(q, core.ActionID(a)); got != wc.AddSat(cfg.DecisionOverhead) {
+					t.Fatalf("%+v: Cwc of %s at %d = %v, want %v", cfg, g.Name(core.ActionID(a)), q, got, wc.AddSat(cfg.DecisionOverhead))
+				}
+			}
+		}
+	}
+}

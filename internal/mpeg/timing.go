@@ -120,35 +120,13 @@ func BuildSystem(cfg SystemConfig) (*FrameSystem, error) {
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("mpeg: Budget must be positive, got %v", cfg.Budget)
 	}
-	g, err := FrameGraph(cfg.Macroblocks)
-	if err != nil {
-		return nil, err
-	}
-	levels := Levels()
-	n := g.Len()
-	cav := core.NewTimeFamily(levels, n, 0)
-	cwc := core.NewTimeFamily(levels, n, 0)
-	for a := 0; a < n; a++ {
-		base, _ := SplitID(core.ActionID(a))
-		for _, q := range levels {
-			av, wc := Times(base, q)
-			cav.Set(q, core.ActionID(a), av.AddSat(cfg.DecisionOverhead))
-			cwc.Set(q, core.ActionID(a), wc.AddSat(cfg.DecisionOverhead))
-		}
-	}
-	fs := &FrameSystem{Cfg: cfg}
-	d := core.NewTimeFamily(levels, n, core.Inf)
-	sys, err := core.NewSystem(g, levels, cav, cwc, d)
-	if err != nil {
-		return nil, err
-	}
-	fs.Sys = sys
-
-	// Body-level system for the iterative (constant-memory) tables.
+	// Body-level system for the iterative (constant-memory) tables; the
+	// frame system takes its times, tiled over the macroblocks.
 	body, err := BodyGraph()
 	if err != nil {
 		return nil, err
 	}
+	levels := Levels()
 	bcav := core.NewTimeFamily(levels, NumActions, 0)
 	bcwc := core.NewTimeFamily(levels, NumActions, 0)
 	for a := 0; a < NumActions; a++ {
@@ -159,7 +137,17 @@ func BuildSystem(cfg SystemConfig) (*FrameSystem, error) {
 		}
 	}
 	bd := core.NewTimeFamily(levels, NumActions, core.Inf)
+	fs := &FrameSystem{Cfg: cfg}
 	fs.Body, err = core.NewSystem(body, levels, bcav, bcwc, bd)
+	if err != nil {
+		return nil, err
+	}
+	nMB := cfg.Macroblocks
+	g, err := body.Unroll(nMB, true)
+	if err != nil {
+		return nil, err
+	}
+	fs.Sys, err = core.NewSystem(g, levels, bcav.Tile(nMB, 0, 0), bcwc.Tile(nMB, 0, 0), bd.Tile(nMB, 0, 0))
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The codec's contract is equality with encoding/json, so both fuzz
@@ -225,4 +227,73 @@ func BenchmarkDecideCodec(b *testing.B) {
 			buf = AppendDecideResponse(buf[:0], &resp)
 		}
 	})
+}
+
+// TestDecodeAllocatesOnce holds the decoder to one allocation per
+// buffer: a fresh decoder sizes its items and its costs arrays once
+// each for a plain body, and a decoder that has held the body before
+// allocates nothing.
+func TestDecodeAllocatesOnce(t *testing.T) {
+	req := DecideRequest{Items: make([]DecideItem, 16)}
+	for i := range req.Items {
+		req.Items[i] = DecideItem{Stream: uint64(i + 1), Costs: []int64{int64(i), 2, 3}, Load: 0.5}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got DecideRequest
+	fresh := testing.AllocsPerRun(100, func() {
+		var d DecideDecoder
+		if err := d.Decode(body, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if fresh != 2 {
+		t.Errorf("fresh decoder: %v allocations, want 2 (items and costs)", fresh)
+	}
+	var d DecideDecoder
+	reused := testing.AllocsPerRun(100, func() {
+		if err := d.Decode(body, &got); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reused != 0 {
+		t.Errorf("reused decoder: %v allocations, want 0", reused)
+	}
+}
+
+// TestDecodeKeylessItemsLinear holds the items array to geometric
+// growth for bodies whose items name no stream, so that nothing sizes
+// the array ahead: {"items":[{},{},…]} from a thousand items up to the
+// body limit of 64-item batches over 72 actions (about 68,000 items).
+// Decoding such a body must take a logarithmic number of allocations
+// and bytes linear in its items, not one allocation and one copy of the
+// array per item. The growth law is the same at the default limit,
+// 16 times larger, where each decode allocates about 200 MB.
+func TestDecodeKeylessItemsLinear(t *testing.T) {
+	limit := int(DecideBodyLimit(64, 72))
+	itemSize := uint64(unsafe.Sizeof(DecideItem{}))
+	most := (limit - len(`{"items":[{}]}`)) / len(`,{}`)
+	for n := 1 << 10; ; n = min(4*n, most) {
+		body := append([]byte(`{"items":[{}`), bytes.Repeat([]byte(`,{}`), n-1)...)
+		body = append(body, "]}"...)
+		var before, after runtime.MemStats
+		var got DecideRequest
+		runtime.ReadMemStats(&before)
+		err := DecodeDecideRequest(body, &got)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(got.Items) != n {
+			t.Fatalf("%d keyless items: decoded %d, error %v", n, len(got.Items), err)
+		}
+		if allocs := after.Mallocs - before.Mallocs; allocs > 64 {
+			t.Fatalf("%d keyless items: %d allocations, want at most 64", n, allocs)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 8*uint64(n)*itemSize {
+			t.Fatalf("%d keyless items: %d bytes allocated, want at most %d", n, b, 8*uint64(n)*itemSize)
+		}
+		if n == most {
+			return
+		}
+	}
 }

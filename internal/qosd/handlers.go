@@ -102,10 +102,12 @@ func (d *Daemon) retryAfterSeconds() int {
 }
 
 // handleAdmit admits a batch of streams, all-or-nothing. Each admission
-// queues via AdmitWait up to the daemon's admit timeout; when the
-// budget cannot carry the whole batch in time every partial grant is
-// rolled back and the client is shed with 429 + Retry-After — admitted
-// hard streams never lose reserved capacity to a newcomer.
+// tries the budget at once and queues via AdmitWait only when it is
+// full, so the daemon's admit timeout bounds the queueing and never
+// sheds a stream the budget has room for. When the budget cannot carry
+// the whole batch in time, or the client has gone, every partial grant
+// is rolled back and the client is shed with 429 + Retry-After —
+// admitted hard streams never lose reserved capacity to a newcomer.
 func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		return writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
@@ -139,7 +141,14 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 	defer cancel()
 	grants := make([]*mixer.Grant, 0, n)
 	for i := 0; i < n; i++ {
-		g, admitErr := m.budget.AdmitWait(ctx, spec)
+		var g *mixer.Grant
+		admitErr := r.Context().Err()
+		if admitErr == nil {
+			g, admitErr = m.budget.Admit(spec)
+		}
+		if errors.Is(admitErr, mixer.ErrBudgetExhausted) {
+			g, admitErr = m.budget.AdmitWait(ctx, spec)
+		}
 		if admitErr != nil {
 			for _, got := range grants {
 				got.Release()

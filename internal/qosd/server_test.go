@@ -2,6 +2,7 @@ package qosd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -229,6 +230,49 @@ func TestQosdOverCapacityAdmitSheds(t *testing.T) {
 		if r.Code != api.DecideOK || r.Misses != 0 {
 			t.Fatalf("admitted stream degraded during shedding: %+v", r)
 		}
+	}
+}
+
+// TestQosdAdmitTimeoutBoundsOnlyQueueing gives the daemon an admit
+// timeout that has passed before the first admission is tried: a batch
+// the budget has room for is still admitted whole, and only a request
+// that would have to queue is shed.
+func TestQosdAdmitTimeoutBoundsOnlyQueueing(t *testing.T) {
+	const batch = 32
+	_, srv := newTestDaemon(t, func(c *Config) {
+		c.Budget = batch * 40 // room for exactly 32 streams of MinNeed 40
+		c.AdmitTimeout = time.Nanosecond
+	})
+	admitN(t, srv, batch)
+	var er api.ErrorResponse
+	code, hdr := postJSON(t, srv.URL+"/v1/admit", api.AdmitRequest{Streams: 1}, &er)
+	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Fatalf("admit to a full budget: HTTP %d, Retry-After %q", code, hdr.Get("Retry-After"))
+	}
+	if want := "budget exhausted after 0/1 admissions"; er.Error != want {
+		t.Fatalf("shed message %q, want %q", er.Error, want)
+	}
+}
+
+// TestQosdAdmitGoneClientRollsBack sends an admit whose client has
+// already gone: the budget has room, but no grant is kept.
+func TestQosdAdmitGoneClientRollsBack(t *testing.T) {
+	d, _ := newTestDaemon(t, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/admit", strings.NewReader(`{"streams":2}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("admit for a gone client: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	serve := func(method, target string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		return rec
+	}
+	if c := capacityOf(t, serve); c.Streams != 0 || c.Committed != 0 {
+		t.Fatalf("gone client's admit kept capacity: %+v", c)
 	}
 }
 

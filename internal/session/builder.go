@@ -269,45 +269,31 @@ func (b *SystemBuilder) Build() (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := body
-	if b.iterate > 1 {
-		g, err = body.Unroll(b.iterate, true)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n := g.Len()
-	cav := core.NewTimeFamily(b.levels, n, 0)
-	cwc := core.NewTimeFamily(b.levels, n, 0)
-	d := core.NewTimeFamily(b.levels, n, core.Inf)
+	// Resolve each body action's times, deadline and soft mark once;
+	// NewIteratedSystem tiles them over the iterations.
+	m := len(b.actions)
+	cav := core.NewTimeFamily(b.levels, m, 0)
+	cwc := core.NewTimeFamily(b.levels, m, 0)
+	d := core.NewTimeFamily(b.levels, m, core.Inf)
 	var softMask []bool
-	for a := 0; a < n; a++ {
-		name := b.actions[a%len(b.actions)]
-		iter := a / len(b.actions)
+	for a, name := range b.actions {
 		for _, q := range b.levels {
 			if v, ok := lookup(b.times, name, q); ok {
 				cav.Set(q, core.ActionID(a), v[0])
 				cwc.Set(q, core.ActionID(a), v[1])
 			}
 			if dl, ok := lookup(b.deadlines, name, q); ok {
-				if b.iterate == 1 || iter == b.iterate-1 {
-					d.Set(q, core.ActionID(a), dl)
-				}
+				d.Set(q, core.ActionID(a), dl)
 			}
 		}
 		if b.soft[name] {
 			if softMask == nil {
-				softMask = make([]bool, n)
+				softMask = make([]bool, m)
 			}
 			softMask[a] = true
 		}
 	}
-	sys, err := core.NewSystem(g, b.levels, cav, cwc, d)
-	if err != nil {
-		return nil, err
-	}
-	sys.Soft = softMask
-	return sys, nil
+	return core.NewIteratedSystem(body, b.iterate, b.levels, cav, cwc, d, softMask)
 }
 
 // BuildProgram builds the system and precomputes its controller program
