@@ -144,18 +144,13 @@ func run(cfg cliConfig, out io.Writer) error {
 		}
 		return nil
 	case "schedule", "tables":
-		// The generation commands operate on the raw codegen model (they
-		// emit the prototype tool's artifacts, not a running system).
-		f, err := os.Open(cfg.modelPath)
+		// The generation commands emit the prototype tool's artifacts
+		// for the built system.
+		sys, _, err := buildSystem(cfg.modelPath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		m, err := codegen.Parse(f)
-		if err != nil {
-			return err
-		}
-		ar, err := codegen.Generate(m)
+		ar, err := codegen.Generate(sys)
 		if err != nil {
 			return err
 		}

@@ -26,6 +26,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/mpeg"
+	"repro/internal/session"
 )
 
 func main() {
@@ -73,16 +74,15 @@ func emitBodyModel(outDir string, stdout bool, iterate int, budget core.Cycles) 
 }
 
 func run(modelPath, outDir string, stdout bool) error {
-	f, err := os.Open(modelPath)
+	b, err := session.LoadModel(modelPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	m, err := codegen.Parse(f)
+	sys, err := b.Build()
 	if err != nil {
 		return err
 	}
-	ar, err := codegen.Generate(m)
+	ar, err := codegen.Generate(sys)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/codegen"
 	"repro/internal/mpeg"
+	"repro/internal/session"
 )
 
 const model = `
@@ -96,8 +96,8 @@ func TestEmitBodyModelRejectsBadArgs(t *testing.T) {
 }
 
 // TestEmitBodyModelBoundsIterate holds -emit-mpeg-body to the model
-// sizes codegen.Parse accepts: the largest iterate count writes a model
-// that parses, one more is rejected and leaves the file in place.
+// sizes session.ParseModel accepts: the largest iterate count writes a
+// model that parses, one more is rejected and leaves the file in place.
 func TestEmitBodyModelBoundsIterate(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "mpeg_body.qos")
@@ -108,12 +108,16 @@ func TestEmitBodyModelBoundsIterate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := codegen.Parse(bytes.NewReader(written))
+	b, err := session.ParseModel(bytes.NewReader(written))
 	if err != nil {
 		t.Fatalf("iterate %d: the written model does not parse: %v", mpeg.MaxIterate, err)
 	}
-	if got := len(m.Actions) * m.Iterate; got > codegen.MaxActions {
-		t.Fatalf("iterate %d: %d actions, above codegen.MaxActions %d", mpeg.MaxIterate, got, codegen.MaxActions)
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatalf("iterate %d: the written model does not build: %v", mpeg.MaxIterate, err)
+	}
+	if got := sys.Graph.Len(); got > session.MaxActions {
+		t.Fatalf("iterate %d: %d actions, above session.MaxActions %d", mpeg.MaxIterate, got, session.MaxActions)
 	}
 	if err := emitBodyModel(dir, false, mpeg.MaxIterate+1, 2_500_000); err == nil {
 		t.Fatalf("iterate %d accepted", mpeg.MaxIterate+1)

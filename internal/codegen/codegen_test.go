@@ -2,12 +2,12 @@ package codegen
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/session"
 )
 
 const tinyModel = `
@@ -22,22 +22,29 @@ time b 1 30 50
 deadline b * 100
 `
 
-func parseTiny(t *testing.T) *Model {
+// build reads src as the tool does, through session.ParseModel, and
+// builds its system.
+func build(t *testing.T, src string) *core.System {
 	t.Helper()
-	m, err := Parse(strings.NewReader(tinyModel))
+	b, err := session.ParseModel(strings.NewReader(src))
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("ParseModel: %v", err)
 	}
-	return m
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return sys
 }
 
 func TestParseTiny(t *testing.T) {
-	m := parseTiny(t)
-	if len(m.Actions) != 2 || len(m.Edges) != 1 || m.Iterate != 1 {
-		t.Fatalf("model: %+v", m)
+	sys := build(t, tinyModel)
+	a, _ := sys.Graph.Lookup("a")
+	if sys.Graph.Len() != 2 || len(sys.Graph.Succs(a)) != 1 {
+		t.Fatalf("graph:\n%s", sys.Graph)
 	}
-	if len(m.Levels) != 2 {
-		t.Fatalf("levels: %v", m.Levels)
+	if len(sys.Levels) != 2 {
+		t.Fatalf("levels: %v", sys.Levels)
 	}
 }
 
@@ -54,21 +61,24 @@ func TestParseErrors(t *testing.T) {
 		{"bad deadline", "levels 0 1\naction a\ndeadline a * -5\n"},
 		{"bad iterate", "levels 0 1\naction a\niterate 0\n"},
 		{"bad level token", "levels 0 1\naction a\ntime a x 1 2\n"},
+		{"negative time level", "levels 0 2\naction a\ntime a -1 5 9\n"},
+		{"negative deadline level", "levels 0 2\naction a\ndeadline a -1 9\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Parse(strings.NewReader(c.src)); err == nil {
+			if _, err := session.ParseModel(strings.NewReader(c.src)); err == nil {
 				t.Fatalf("accepted: %s", c.src)
 			}
 		})
 	}
 }
 
-// TestParseBoundsModelSize holds Parse to MaxLevels and MaxActions: a
-// level range or an iterated action count past them is an error, not a
-// makeslice panic or a build that does not finish, and the largest
-// model inside both bounds still builds a controller.
+// TestParseBoundsModelSize holds session.ParseModel to its MaxLevels
+// and MaxActions: a level range or an iterated action count past them
+// is an error, not a makeslice panic or a build that does not finish,
+// and the largest model inside both bounds still builds a controller.
 func TestParseBoundsModelSize(t *testing.T) {
+	const MaxLevels, MaxActions = session.MaxLevels, session.MaxActions
 	for _, c := range []struct {
 		name, src string
 		ok        bool
@@ -86,7 +96,7 @@ func TestParseBoundsModelSize(t *testing.T) {
 		{"largest model", fmt.Sprintf("levels 0 %d\naction a\ntime a * 1 2\niterate %d\n", MaxLevels-1, MaxActions), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := Parse(strings.NewReader(c.src))
+			b, err := session.ParseModel(strings.NewReader(c.src))
 			if !c.ok {
 				if err == nil {
 					t.Fatalf("accepted: %q", c.src)
@@ -96,12 +106,12 @@ func TestParseBoundsModelSize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(m.Levels) > MaxLevels || len(m.Actions)*m.Iterate > MaxActions {
-				t.Fatalf("%d levels, %d actions × %d accepted", len(m.Levels), len(m.Actions), m.Iterate)
-			}
-			sys, err := m.BuildSystem()
+			sys, err := b.Build()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(sys.Levels) > MaxLevels || sys.Graph.Len() > MaxActions {
+				t.Fatalf("%d levels, %d actions accepted", len(sys.Levels), sys.Graph.Len())
 			}
 			if _, err := core.NewController(sys); err != nil {
 				t.Fatal(err)
@@ -118,42 +128,25 @@ func TestExampleModelsParse(t *testing.T) {
 		t.Fatalf("no example models: %v", err)
 	}
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := Parse(f)
-		f.Close()
+		b, err := session.LoadModel(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if _, err := m.BuildSystem(); err != nil {
+		if _, err := b.Build(); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 	}
 }
 
 func TestParseInfDeadline(t *testing.T) {
-	src := "levels 0 0\naction a\ndeadline a * inf\ntime a * 1 2\n"
-	m, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := m.BuildSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := build(t, "levels 0 0\naction a\ndeadline a * inf\ntime a * 1 2\n")
 	if !sys.D.At(0, 0).IsInf() {
 		t.Fatal("inf deadline not parsed")
 	}
 }
 
 func TestBuildSystemFromTiny(t *testing.T) {
-	m := parseTiny(t)
-	sys, err := m.BuildSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := build(t, tinyModel)
 	if sys.Graph.Len() != 2 {
 		t.Fatalf("graph size %d", sys.Graph.Len())
 	}
@@ -170,8 +163,7 @@ func TestBuildSystemFromTiny(t *testing.T) {
 }
 
 func TestGenerateArtifacts(t *testing.T) {
-	m := parseTiny(t)
-	ar, err := Generate(m)
+	ar, err := Generate(build(t, tinyModel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +213,7 @@ deadline a 1 50
 deadline b 0 50
 deadline b 1 10
 `
-	m, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Generate(m); err == nil {
+	if _, err := Generate(build(t, src)); err == nil {
 		t.Fatal("non-uniform deadline order accepted")
 	}
 }
@@ -238,14 +226,7 @@ time a * 10 20
 deadline a * 1000
 iterate 3
 `
-	m, err := Parse(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := m.BuildSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := build(t, src)
 	if sys.Graph.Len() != 3 {
 		t.Fatalf("unrolled size %d", sys.Graph.Len())
 	}
@@ -256,20 +237,18 @@ iterate 3
 }
 
 func TestMPEGBodyModelFile(t *testing.T) {
-	path := filepath.Join("..", "..", "examples", "models", "mpeg_body.qos")
-	f, err := os.Open(path)
+	b, err := session.LoadModel(filepath.Join("..", "..", "examples", "models", "mpeg_body.qos"))
 	if err != nil {
 		t.Fatalf("model file: %v", err)
 	}
-	defer f.Close()
-	m, err := Parse(f)
+	sys, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Actions) != 9 || m.Iterate != 8 {
-		t.Fatalf("model shape: %d actions, iterate %d", len(m.Actions), m.Iterate)
+	if sys.Graph.Len() != 9*8 || b.Iterations() != 8 {
+		t.Fatalf("model shape: %d actions, iterate %d", sys.Graph.Len(), b.Iterations())
 	}
-	ar, err := Generate(m)
+	ar, err := Generate(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

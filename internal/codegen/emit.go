@@ -1,3 +1,9 @@
+// Package codegen implements the paper's prototype tool (figure 4):
+// from a parameterized system (a ".qos" model read by
+// session.LoadModel and built), it computes the EDF schedule and the
+// precomputed constraint tables, and emits a "controlled application"
+// source listing (the paper's compiler links these with the action code
+// and a generic controller).
 package codegen
 
 import (
@@ -21,11 +27,7 @@ type Artifacts struct {
 // (EDF at qmin) and table precomputation. It fails when the model's
 // deadline order depends on the quality level, the case the prototype
 // does not support (matching the paper).
-func Generate(m *Model) (*Artifacts, error) {
-	sys, err := m.BuildSystem()
-	if err != nil {
-		return nil, err
-	}
+func Generate(sys *core.System) (*Artifacts, error) {
 	if !sys.UniformDeadlines() {
 		return nil, fmt.Errorf("codegen: deadline order depends on quality; the prototype tool requires quality-independent deadline order")
 	}

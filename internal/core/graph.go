@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -31,21 +32,18 @@ type Graph struct {
 	topo  []ActionID // one valid topological order, by construction
 }
 
-// GraphBuilder accumulates actions and precedence edges and validates
-// them into a Graph.
+// GraphBuilder accumulates actions and precedence edges by name and
+// validates them into a Graph.
 type GraphBuilder struct {
 	names []string
 	index map[string]ActionID
-	edges map[[2]ActionID]struct{}
+	edges [][2]ActionID
 	err   error
 }
 
 // NewGraphBuilder returns an empty builder.
 func NewGraphBuilder() *GraphBuilder {
-	return &GraphBuilder{
-		index: make(map[string]ActionID),
-		edges: make(map[[2]ActionID]struct{}),
-	}
+	return &GraphBuilder{index: make(map[string]ActionID)}
 }
 
 // AddAction declares an action with the given name and returns its ID.
@@ -71,49 +69,56 @@ func (b *GraphBuilder) AddEdge(from, to string) {
 		}
 		return
 	}
-	if fi == ti {
-		if b.err == nil {
-			b.err = fmt.Errorf("core: self edge on %q", from)
-		}
-		return
-	}
-	b.edges[[2]ActionID{fi, ti}] = struct{}{}
+	b.edges = append(b.edges, [2]ActionID{fi, ti})
 }
 
 // Build validates the accumulated actions and edges and returns the
 // immutable Graph. It fails if the graph has no actions, references
-// undeclared actions, or contains a cycle.
+// undeclared actions, or contains a self edge or a cycle.
 func (b *GraphBuilder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	n := len(b.names)
+	return NewGraph(b.names, b.edges)
+}
+
+// NewGraph returns the graph whose action a is named names[a], with the
+// precedence edges given as (from, to) ID pairs; an edge given twice
+// counts once. Each action's successors and predecessors are in
+// ascending ID order. It fails on an empty graph, an edge outside the
+// actions, a self edge (the first in edges order) or a cycle.
+func NewGraph(names []string, edges [][2]ActionID) (*Graph, error) {
+	n := len(names)
 	if n == 0 {
 		return nil, fmt.Errorf("core: graph has no actions")
 	}
+	for _, e := range edges {
+		if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
+			return nil, fmt.Errorf("core: edge %d -> %d outside %d actions", e[0], e[1], n)
+		}
+		if e[0] == e[1] {
+			return nil, fmt.Errorf("core: self edge on %q", names[e[0]])
+		}
+	}
 	g := &Graph{
-		names: append([]string(nil), b.names...),
+		names: append([]string(nil), names...),
 		index: make(map[string]ActionID, n),
 		succs: make([][]ActionID, n),
 		preds: make([][]ActionID, n),
 	}
-	for name, id := range b.index {
-		g.index[name] = id
+	for id, name := range g.names {
+		g.index[name] = ActionID(id)
 	}
-	type edge struct{ from, to ActionID }
-	edges := make([]edge, 0, len(b.edges))
-	for e := range b.edges {
-		edges = append(edges, edge{e[0], e[1]})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, func(x, y [2]ActionID) int {
+		if c := cmp.Compare(x[0], y[0]); c != 0 {
+			return c
 		}
-		return edges[i].to < edges[j].to
+		return cmp.Compare(x[1], y[1])
 	})
-	for _, e := range edges {
-		g.succs[e.from] = append(g.succs[e.from], e.to)
-		g.preds[e.to] = append(g.preds[e.to], e.from)
+	for _, e := range slices.Compact(sorted) {
+		g.succs[e[0]] = append(g.succs[e[0]], e[1])
+		g.preds[e[1]] = append(g.preds[e[1]], e[0])
 	}
 	topo, err := topoSort(g)
 	if err != nil {
@@ -374,11 +379,16 @@ func (g *Graph) Unroll(n int, chain bool) (*Graph, error) {
 			}
 		}
 	}
-	topo, err := topoSort(u)
-	if err != nil {
-		return nil, err
+	// Every action of copy k precedes every action of copy k+1 in any
+	// order when chained (each reaches a sink of copy k, which every
+	// source of copy k+1 follows), and in topoSort's smallest-ID-first
+	// order unchained, so g's order repeated copy by copy is u's.
+	u.topo = make([]ActionID, 0, total)
+	for k := 0; k < n; k++ {
+		for _, a := range g.topo {
+			u.topo = append(u.topo, ActionID(k*m)+a)
+		}
 	}
-	u.topo = topo
 	return u, nil
 }
 

@@ -40,26 +40,27 @@ func NewSystem(g *Graph, levels LevelSet, cav, cwc, d *TimeFamily) (*System, err
 // from body-sized parameters: every iteration takes the body's execution
 // times and soft marks, and only the last takes its deadlines (the
 // end-of-cycle convention). The families and mask passed in are not
-// kept when n > 1.
+// kept when n > 1. Validate runs on the body, whose checks the tiled
+// system passes exactly when the body does, so an error names a body
+// action.
 func NewIteratedSystem(body *Graph, n int, levels LevelSet, cav, cwc, d *TimeFamily, soft []bool) (*System, error) {
-	g := body
-	if n > 1 {
-		var err error
-		if g, err = body.Unroll(n, true); err != nil {
-			return nil, err
-		}
-		cav, cwc, d = cav.Tile(n, 0, 0), cwc.Tile(n, 0, 0), d.Tile(n, n-1, Inf)
-		if soft != nil {
-			tiled := make([]bool, 0, n*len(soft))
-			for k := 0; k < n; k++ {
-				tiled = append(tiled, soft...)
-			}
-			soft = tiled
-		}
-	}
-	s := &System{Graph: g, Levels: levels, Cav: cav, Cwc: cwc, D: d, Soft: soft}
+	s := &System{Graph: body, Levels: levels, Cav: cav, Cwc: cwc, D: d, Soft: soft}
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if n > 1 {
+		g, err := body.Unroll(n, true)
+		if err != nil {
+			return nil, err
+		}
+		s.Graph = g
+		s.Cav, s.Cwc, s.D = cav.Tile(n, 0, 0), cwc.Tile(n, 0, 0), d.Tile(n, n-1, Inf)
+		if soft != nil {
+			s.Soft = make([]bool, 0, n*len(soft))
+			for k := 0; k < n; k++ {
+				s.Soft = append(s.Soft, soft...)
+			}
+		}
 	}
 	return s, nil
 }
@@ -75,7 +76,8 @@ func (s *System) Validate() error {
 		return fmt.Errorf("core: invalid level set %v", s.Levels)
 	}
 	n := s.Graph.Len()
-	for name, fam := range map[string]*TimeFamily{"Cav": s.Cav, "Cwc": s.Cwc, "D": s.D} {
+	for f, fam := range [...]*TimeFamily{s.Cav, s.Cwc, s.D} {
+		name := [...]string{"Cav", "Cwc", "D"}[f]
 		if fam == nil {
 			return fmt.Errorf("core: system missing %s family", name)
 		}

@@ -186,3 +186,17 @@ func TestModeString(t *testing.T) {
 		t.Fatal("unknown mode should still render")
 	}
 }
+
+// TestSystemValidateNamesFamiliesInOrder checks Cav, Cwc and D in that
+// order, so a system with two malformed families is always reported by
+// the first of them.
+func TestSystemValidateNamesFamiliesInOrder(t *testing.T) {
+	sys := tinySystem(t)
+	bad := *sys
+	bad.Cwc, bad.D = nil, nil
+	for i := 0; i < 100; i++ {
+		if err := bad.Validate(); err == nil || err.Error() != "core: system missing Cwc family" {
+			t.Fatalf("run %d: %v, want the missing Cwc family", i, err)
+		}
+	}
+}

@@ -183,8 +183,10 @@ type TimeFn []Cycles
 // NewTimeFn returns a TimeFn for n actions, all set to v.
 func NewTimeFn(n int, v Cycles) TimeFn {
 	f := make(TimeFn, n)
-	for i := range f {
-		f[i] = v
+	if v != 0 {
+		for i := range f {
+			f[i] = v
+		}
 	}
 	return f
 }

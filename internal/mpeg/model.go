@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/session"
 )
 
 // MaxIterate is the largest iterate count WriteBodyModel accepts: the
-// most macroblock bodies whose actions codegen.Parse still builds.
-const MaxIterate = codegen.MaxActions / NumActions
+// most macroblock bodies whose actions session.ParseModel still builds.
+const MaxIterate = session.MaxActions / NumActions
 
 // WriteBodyModel emits the macroblock-body model (the figure 2 graph
-// with the figure 5 execution times) in the codegen text format:
+// with the figure 5 execution times) in the ".qos" text format:
 // 9 actions, the body precedence edges, per-level Motion_Estimate
 // times, and the end-of-cycle budget as the deadline of the body's
 // sinks (Compress, Reconstruct) — which an iterated model applies to
@@ -24,7 +24,7 @@ func WriteBodyModel(w io.Writer, iterate int, budget core.Cycles) error {
 		return fmt.Errorf("mpeg: iterate %d must be positive", iterate)
 	}
 	if iterate > MaxIterate {
-		return fmt.Errorf("mpeg: iterate %d exceeds %d: the model would have more than codegen.MaxActions actions", iterate, MaxIterate)
+		return fmt.Errorf("mpeg: iterate %d exceeds %d: the model would have more than %d actions", iterate, MaxIterate, session.MaxActions)
 	}
 	if budget <= 0 {
 		return fmt.Errorf("mpeg: budget %v must be positive", budget)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/bits"
 	"strconv"
@@ -24,9 +25,18 @@ func DecodeDecideRequest(body []byte, req *DecideRequest) error {
 // every item's costs. The zero value is ready to use; a DecideDecoder
 // must not be used by two goroutines at once.
 type DecideDecoder struct {
+	// MaxItems, when positive, bounds the items of a request: Decode
+	// stops at the request's MaxItems+1st item and fails with
+	// ErrTooManyItems, before it decodes the rest of the body.
+	MaxItems int
+
 	items []DecideItem
 	costs []int64
 }
+
+// ErrTooManyItems is Decode's error for a request with more than
+// MaxItems items.
+var ErrTooManyItems = errors.New("api: too many items")
 
 // Decode overwrites *req with the /v1/decide request in body. A body in
 // the plain shape json.Marshal emits is scanned directly:
@@ -46,12 +56,20 @@ type DecideDecoder struct {
 // so the accepted bodies, the decoded values and the error texts are
 // encoding/json's.
 func (d *DecideDecoder) Decode(body []byte, req *DecideRequest) error {
-	s := decideScanner{b: body, items: d.items[:0], costs: d.costs[:0]}
+	limit := math.MaxInt
+	if d.MaxItems > 0 {
+		limit = d.MaxItems
+	}
+	s := decideScanner{b: body, items: d.items[:0], costs: d.costs[:0], limit: limit}
 	items, ok := s.request()
 	d.items, d.costs = s.items, s.costs
 	if ok {
 		*req = DecideRequest{Items: items}
 		return nil
+	}
+	if s.over || tooManyItems(body, limit) {
+		*req = DecideRequest{}
+		return ErrTooManyItems
 	}
 	// A fresh request, so that only this path hands a value to
 	// encoding/json and req stays on its caller's stack.
@@ -60,6 +78,29 @@ func (d *DecideDecoder) Decode(body []byte, req *DecideRequest) error {
 	*req = fresh
 	return err
 }
+
+// tooManyItems reports whether the request encoding/json reads from
+// body has more than limit items. It decodes the items as elements that
+// take no memory, so the count costs no allocation per item. An array
+// of more than limit elements takes at least 2·limit+3 bytes, so a
+// shorter body, and any body when there is no limit, is not decoded at
+// all.
+func tooManyItems(body []byte, limit int) bool {
+	if (len(body)-3)/2 < limit {
+		return false
+	}
+	var count struct {
+		Items []skipItem `json:"items"`
+	}
+	json.NewDecoder(bytes.NewReader(body)).Decode(&count) // any error is Decode's to report
+	return len(count.Items) > limit
+}
+
+// skipItem is an items element that tooManyItems counts and does not
+// decode.
+type skipItem struct{}
+
+func (*skipItem) UnmarshalJSON([]byte) error { return nil }
 
 // Retained reports the bytes d's items and costs buffers hold, so a
 // caller that keeps decoders can bound what they pin.
@@ -91,6 +132,8 @@ type decideScanner struct {
 	items []DecideItem
 	costs []int64 // backing array of every item's Costs
 	sized bool    // costs checked against the body's cost count
+	limit int     // the most items a request may have
+	over  bool    // the items array passed limit
 }
 
 // next skips whitespace and consumes c if it comes next.
@@ -173,10 +216,15 @@ func (s *decideScanner) request() ([]DecideItem, bool) {
 		// count sizes items exactly for plain bodies. A reused array
 		// must still be non-nil: encoding/json decodes [] to an empty
 		// slice, not nil.
-		if n := bytes.Count(s.b[s.i:], []byte(`"stream"`)); s.items == nil || cap(s.items) < n {
+		n := min(bytes.Count(s.b[s.i:], []byte(`"stream"`)), s.limit)
+		if s.items == nil || cap(s.items) < n {
 			s.items = make([]DecideItem, 0, n)
 		}
 		return s.list(func() bool {
+			if len(s.items) == s.limit {
+				s.over = true
+				return false
+			}
 			s.items = append(s.items, DecideItem{})
 			return s.next('{') && s.item(&s.items[len(s.items)-1])
 		})

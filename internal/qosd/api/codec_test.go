@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -294,6 +295,51 @@ func TestDecodeKeylessItemsLinear(t *testing.T) {
 		}
 		if n == most {
 			return
+		}
+	}
+}
+
+// TestDecodeStopsAtMaxItems decodes bodies of {} items that fill the
+// default daemon's body limit (MaxBatch 1024 over 72 actions, about 1.08
+// million items) with MaxItems 1024. Both the scanned shape and one that
+// falls back to encoding/json (key "Items") must fail with
+// ErrTooManyItems without decoding the items: the scan allocates under
+// 1 MiB, and the fallback only the copy of the body encoding/json's
+// Decoder reads it into, where decoding every item took about 200 MB.
+// MaxItems items still decode, and MaxItems+1 do not.
+func TestDecodeStopsAtMaxItems(t *testing.T) {
+	const maxItems = 1024
+	limit := int(DecideBodyLimit(maxItems, 72))
+	bodyOf := func(key string, n int) []byte {
+		body := append([]byte(`{"`+key+`":[{}`), bytes.Repeat([]byte(`,{}`), n-1)...)
+		return append(body, "]}"...)
+	}
+	most := (limit - len(`{"items":[{}]}`)) / len(`,{}`)
+	for _, c := range []struct {
+		key   string
+		bound uint64
+	}{
+		{"items", 1 << 20},
+		{"Items", 4 * uint64(limit)},
+	} {
+		d := DecideDecoder{MaxItems: maxItems}
+		var req DecideRequest
+		for _, n := range []int{maxItems, maxItems + 1} {
+			err := d.Decode(bodyOf(c.key, n), &req)
+			if ok := n <= maxItems; (err == nil) != ok || ok && len(req.Items) != n || !ok && !errors.Is(err, ErrTooManyItems) {
+				t.Fatalf("%q, %d items: decoded %d, error %v", c.key, n, len(req.Items), err)
+			}
+		}
+		body := bodyOf(c.key, most)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := d.Decode(body, &req)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooManyItems) || req.Items != nil {
+			t.Fatalf("%q, %d items: decoded %d, error %v", c.key, most, len(req.Items), err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > c.bound {
+			t.Errorf("%q, %d items in %d bytes: %d bytes allocated, want at most %d", c.key, most, len(body), b, c.bound)
 		}
 	}
 }

@@ -78,7 +78,10 @@ func (d *Daemon) getScratch() *decideScratch {
 	if sc, ok := d.scratch.Get().(*decideScratch); ok {
 		return sc
 	}
-	return &decideScratch{levels: make([]int, 0, d.maxActions)}
+	return &decideScratch{
+		dec:    api.DecideDecoder{MaxItems: d.cfg.MaxBatch},
+		levels: make([]int, 0, d.maxActions),
+	}
 }
 
 // putScratch returns sc to the pool unless its body or its decoded
@@ -248,12 +251,11 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 		return bodyError(w, err)
 	}
 	var req api.DecideRequest
-	if err := sc.dec.Decode(body, &req); err != nil {
-		return bodyError(w, err)
-	}
-	if len(req.Items) > d.cfg.MaxBatch {
+	if err := sc.dec.Decode(body, &req); errors.Is(err, api.ErrTooManyItems) {
 		return writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("at most %d items per batch", d.cfg.MaxBatch), 0)
+	} else if err != nil {
+		return bodyError(w, err)
 	}
 	// Every item's cycle records its levels in one buffer in turn: a
 	// cycle runs each action of its schedule once, so it needs

@@ -674,6 +674,40 @@ func TestQosdBodyLimits(t *testing.T) {
 	}
 }
 
+// TestQosdDecideStopsAtMaxBatch: a decide body of MaxBatch+1 items, and
+// one of {} items up to the body limit, in the scanned shape and in one
+// that falls back to encoding/json, are refused with 400 and the batch
+// message; MaxBatch items are served.
+func TestQosdDecideStopsAtMaxBatch(t *testing.T) {
+	d, srv := newTestDaemon(t, func(c *Config) { c.MaxBatch = 8 })
+	st := admitN(t, srv, 1)[0]
+	item := fmt.Sprintf(`{"stream":%d,"costs":[20,20]}`, st.ID)
+	bodyOf := func(key, item string, n int) []byte {
+		return []byte(`{"` + key + `":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`)
+	}
+	post := func(body []byte) (int, string) {
+		resp, err := http.Post(srv.URL+"/v1/decide", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er api.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er.Error
+	}
+	most := (int(d.decideLimit) - len(`{"Items":[{}]}`)) / len(`,{}`)
+	for _, key := range []string{"items", "Items"} {
+		if code, msg := post(bodyOf(key, item, 8)); code != http.StatusOK {
+			t.Fatalf("%q: 8 items: HTTP %d %s", key, code, msg)
+		}
+		for _, body := range [][]byte{bodyOf(key, item, 9), bodyOf(key, "{}", most)} {
+			if code, msg := post(body); code != http.StatusBadRequest || msg != "at most 8 items per batch" {
+				t.Fatalf("%q: %d-byte body: HTTP %d %q", key, len(body), code, msg)
+			}
+		}
+	}
+}
+
 // TestQosdLeaseRevocation: a client that admits and then goes silent is
 // reaped — its next decide gets 410, its share returns to the pool, and
 // the stream vanishes from the registry.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/mpeg"
 	"repro/internal/session"
@@ -189,8 +188,8 @@ func (s *modelSpec) text() string {
 	return sb.String()
 }
 
-// specOf reads a parsed .qos model back into a spec.
-func specOf(m *codegen.Model) *modelSpec {
+// specOf reads a model parsed by the oracle back into a spec.
+func specOf(m *oracleModel) *modelSpec {
 	s := &modelSpec{
 		levels:    m.Levels,
 		actions:   m.Actions,
@@ -199,11 +198,11 @@ func specOf(m *codegen.Model) *modelSpec {
 		deadlines: make(map[specKey]core.Cycles),
 		iterate:   m.Iterate,
 	}
-	for _, e := range m.Times() {
-		s.times[specKey{e.Action, e.Level}] = [2]core.Cycles{e.Av, e.Wc}
+	for k, v := range m.times {
+		s.times[specKey(k)] = v
 	}
-	for _, e := range m.Deadlines() {
-		s.deadlines[specKey{e.Action, e.Level}] = e.Deadline
+	for k, v := range m.deadlines {
+		s.deadlines[specKey(k)] = v
 	}
 	return s
 }
@@ -269,9 +268,10 @@ func randomSpec(r *rand.Rand) *modelSpec {
 	return s
 }
 
-// TestBuildersMatchPerActionExpansion holds SystemBuilder.Build and
-// codegen's BuildSystem to the per-unrolled-action reference on random
-// models, the fluent builder with soft marks and the .qos text without.
+// TestBuildersMatchPerActionExpansion holds SystemBuilder.Build to the
+// per-unrolled-action reference on random models, declared through the
+// fluent builder with soft marks and through ParseModel of the .qos text
+// without.
 func TestBuildersMatchPerActionExpansion(t *testing.T) {
 	r := rand.New(rand.NewSource(2405))
 	for trial := 0; trial < 500; trial++ {
@@ -287,24 +287,25 @@ func TestBuildersMatchPerActionExpansion(t *testing.T) {
 
 		s.soft = nil
 		want = refBuild(t, s)
-		m, err := codegen.Parse(strings.NewReader(s.text()))
+		b, err := session.ParseModel(strings.NewReader(s.text()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = m.BuildSystem()
+		got, err = b.Build()
 		if err != nil {
-			t.Fatalf("BuildSystem: %v", err)
+			t.Fatalf("ParseModel Build: %v", err)
 		}
 		if d := diffSystem(got, want); d != "" {
-			t.Fatalf("codegen of\n%s: %s", s.text(), d)
+			t.Fatalf("ParseModel of\n%s: %s", s.text(), d)
 		}
 	}
 }
 
 // TestModelBuildsMatchPerActionExpansion builds the checked-in MPEG-4
 // body model and the body tablegen -emit-mpeg-body writes at several
-// iterate counts through codegen and through LoadModel/ParseModel, and
-// holds both to the reference and to each other.
+// iterate counts through the old codegen path (oracle_test.go) and
+// through LoadModel/ParseModel, and holds both to the reference and to
+// each other.
 func TestModelBuildsMatchPerActionExpansion(t *testing.T) {
 	models := map[string]string{}
 	file, err := os.ReadFile("../../examples/models/mpeg_body.qos")
@@ -320,7 +321,7 @@ func TestModelBuildsMatchPerActionExpansion(t *testing.T) {
 		models[fmt.Sprintf("emit-mpeg-body -iterate %d", n)] = buf.String()
 	}
 	for name, text := range models {
-		m, err := codegen.Parse(strings.NewReader(text))
+		m, err := oracleParse(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -355,7 +356,7 @@ func TestModelBuildsMatchPerActionExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := codegen.Parse(strings.NewReader(models["mpeg_body.qos"]))
+	m, _ := oracleParse(strings.NewReader(models["mpeg_body.qos"]))
 	if d := diffSystem(got, refBuild(t, specOf(m))); d != "" {
 		t.Errorf("LoadModel: %s", d)
 	}

@@ -5,8 +5,8 @@
 //     application — actions, precedence edges, quality levels, per-level
 //     execution times, deadlines — in one fluent value and validates it
 //     into a core.System with errors that name the offending action and
-//     level. It also absorbs the codegen text-model format, so ".qos"
-//     files build Systems directly (ParseModel / LoadModel).
+//     level. ParseModel and LoadModel read the ".qos" text model format
+//     (the prototype tool's input) straight into one.
 //   - Session is the per-stream run loop over a controller: Next /
 //     Completed, a Run(workload) convenience loop, Reset for cycle
 //     reuse, and pluggable Observer hooks (on-decision, on-completion,
@@ -23,14 +23,17 @@ import (
 	"repro/internal/core"
 )
 
-// timeKey addresses a (action, level) table entry; level -1 means "all
-// levels" (the wildcard).
-type timeKey struct {
-	action string
-	level  core.Level
-}
-
+// wildcard is the level of a TimeAll or DeadlineAll declaration.
 const wildcard core.Level = -1
+
+// decl is one Time, TimeAll, Deadline or DeadlineAll declaration, kept
+// in call order until check resolves it: v holds (av, wc), or the
+// deadline in v[0].
+type decl struct {
+	action string
+	level  core.Level // wildcard for the All forms
+	v      [2]core.Cycles
+}
 
 // SystemBuilder accumulates a parameterized real-time system in one
 // place and validates it as a whole. All methods return the builder for
@@ -40,24 +43,21 @@ type SystemBuilder struct {
 	levels    core.LevelSet
 	levelsSet bool
 	actions   []string
-	index     map[string]int
+	index     map[string]core.ActionID
 	edges     [][2]string
-	times     map[timeKey][2]core.Cycles
-	deadlines map[timeKey]core.Cycles
-	soft      map[string]bool
+	times     []decl
+	deadlines []decl
+	soft      []string
 	iterate   int
+	// zeroTimes gives an action without a time at some level the time
+	// 0 there, the text format's default, instead of failing check.
+	zeroTimes bool
 	errs      []error
 }
 
 // NewSystemBuilder returns an empty builder.
 func NewSystemBuilder() *SystemBuilder {
-	return &SystemBuilder{
-		index:     make(map[string]int),
-		times:     make(map[timeKey][2]core.Cycles),
-		deadlines: make(map[timeKey]core.Cycles),
-		soft:      make(map[string]bool),
-		iterate:   1,
-	}
+	return &SystemBuilder{index: make(map[string]core.ActionID), iterate: 1}
 }
 
 func (b *SystemBuilder) fail(format string, args ...interface{}) {
@@ -96,7 +96,7 @@ func (b *SystemBuilder) Action(name string) *SystemBuilder {
 		b.fail("action %q declared twice", name)
 		return b
 	}
-	b.index[name] = len(b.actions)
+	b.index[name] = core.ActionID(len(b.actions))
 	b.actions = append(b.actions, name)
 	return b
 }
@@ -132,13 +132,13 @@ func (b *SystemBuilder) Time(action string, q core.Level, av, wc core.Cycles) *S
 		b.fail("time for action %q at negative level %d", action, q)
 		return b
 	}
-	b.times[timeKey{action, q}] = [2]core.Cycles{av, wc}
+	b.times = append(b.times, decl{action, q, [2]core.Cycles{av, wc}})
 	return b
 }
 
 // TimeAll sets the execution time of action at every quality level.
 func (b *SystemBuilder) TimeAll(action string, av, wc core.Cycles) *SystemBuilder {
-	b.times[timeKey{action, wildcard}] = [2]core.Cycles{av, wc}
+	b.times = append(b.times, decl{action, wildcard, [2]core.Cycles{av, wc}})
 	return b
 }
 
@@ -149,13 +149,13 @@ func (b *SystemBuilder) Deadline(action string, q core.Level, d core.Cycles) *Sy
 		b.fail("deadline for action %q at negative level %d", action, q)
 		return b
 	}
-	b.deadlines[timeKey{action, q}] = d
+	b.deadlines = append(b.deadlines, decl{action, q, [2]core.Cycles{d}})
 	return b
 }
 
 // DeadlineAll sets the deadline of action at every quality level.
 func (b *SystemBuilder) DeadlineAll(action string, d core.Cycles) *SystemBuilder {
-	b.deadlines[timeKey{action, wildcard}] = d
+	b.deadlines = append(b.deadlines, decl{action, wildcard, [2]core.Cycles{d}})
 	return b
 }
 
@@ -163,7 +163,7 @@ func (b *SystemBuilder) DeadlineAll(action string, d core.Cycles) *SystemBuilder
 // applies only the average constraint to it (the paper's mixed
 // hard/soft case).
 func (b *SystemBuilder) SoftDeadline(action string) *SystemBuilder {
-	b.soft[action] = true
+	b.soft = append(b.soft, action)
 	return b
 }
 
@@ -184,25 +184,27 @@ func (b *SystemBuilder) Iterate(n int) *SystemBuilder {
 // the body itself).
 func (b *SystemBuilder) Iterations() int { return b.iterate }
 
-// lookup resolves (action, level) with the wildcard fallback.
-func lookup[V any](m map[timeKey]V, action string, q core.Level) (V, bool) {
-	if v, ok := m[timeKey{action, q}]; ok {
-		return v, true
-	}
-	v, ok := m[timeKey{action, wildcard}]
-	return v, ok
-}
-
 // Validate runs Build's declaration checks (duplicate actions, unknown
 // edge endpoints, level coverage, ...) without materialising the
 // system. Structural properties only the built system exposes (graph
 // cycles, family monotonicity) are still reported by Build.
 func (b *SystemBuilder) Validate() error {
-	return b.check()
+	_, err := b.check()
+	return err
 }
 
-// check collects every declaration-level error accumulated so far.
-func (b *SystemBuilder) check() error {
+// body is a builder's declarations resolved against its actions and
+// levels, each entry once: the body's edges by ID, and its times,
+// deadlines and soft marks in families sized for the body.
+type body struct {
+	edges       [][2]core.ActionID
+	cav, cwc, d *core.TimeFamily
+	soft        []bool // nil without soft marks
+}
+
+// check collects every declaration-level error accumulated so far and,
+// when there is none, returns the resolved body.
+func (b *SystemBuilder) check() (*body, error) {
 	errs := append([]error(nil), b.errs...)
 	if !b.levelsSet {
 		errs = append(errs, errors.New("qos: no quality levels declared (call Levels)"))
@@ -210,90 +212,134 @@ func (b *SystemBuilder) check() error {
 	if len(b.actions) == 0 {
 		errs = append(errs, errors.New("qos: no actions declared"))
 	}
+	res := &body{edges: make([][2]core.ActionID, 0, len(b.edges))}
 	for _, e := range b.edges {
-		for _, end := range e {
-			if _, ok := b.index[end]; !ok {
-				errs = append(errs, fmt.Errorf("qos: edge %s -> %s references unknown action %q", e[0], e[1], end))
+		from, ok1 := b.index[e[0]]
+		to, ok2 := b.index[e[1]]
+		if !ok1 {
+			errs = append(errs, fmt.Errorf("qos: edge %s -> %s references unknown action %q", e[0], e[1], e[0]))
+		}
+		if !ok2 {
+			errs = append(errs, fmt.Errorf("qos: edge %s -> %s references unknown action %q", e[0], e[1], e[1]))
+		}
+		res.edges = append(res.edges, [2]core.ActionID{from, to})
+	}
+	times, errs := b.resolve(b.times, "execution time for", errs)
+	deadlines, errs := b.resolve(b.deadlines, "deadline for", errs)
+	var seen map[string]bool
+	for _, a := range b.soft {
+		if id, ok := b.index[a]; ok {
+			if res.soft == nil {
+				res.soft = make([]bool, len(b.actions))
 			}
-		}
-	}
-	for k := range b.times {
-		if _, ok := b.index[k.action]; !ok {
-			errs = append(errs, fmt.Errorf("qos: execution time for unknown action %q", k.action))
-		}
-		if k.level != wildcard && b.levelsSet && !b.levels.Contains(k.level) {
-			errs = append(errs, fmt.Errorf("qos: execution time for action %q at level %d outside range %v", k.action, k.level, b.levels))
-		}
-	}
-	for k := range b.deadlines {
-		if _, ok := b.index[k.action]; !ok {
-			errs = append(errs, fmt.Errorf("qos: deadline for unknown action %q", k.action))
-		}
-		if k.level != wildcard && b.levelsSet && !b.levels.Contains(k.level) {
-			errs = append(errs, fmt.Errorf("qos: deadline for action %q at level %d outside range %v", k.action, k.level, b.levels))
-		}
-	}
-	for a := range b.soft {
-		if _, ok := b.index[a]; !ok {
+			res.soft[id] = true
+		} else if !seen[a] {
+			if seen == nil {
+				seen = make(map[string]bool)
+			}
+			seen[a] = true
 			errs = append(errs, fmt.Errorf("qos: soft-deadline mark on unknown action %q", a))
 		}
 	}
 	if b.levelsSet {
-		for _, name := range b.actions {
-			for _, q := range b.levels {
-				if _, ok := lookup(b.times, name, q); !ok {
+		L, m := len(b.levels), len(b.actions)
+		res.cav = core.NewTimeFamily(b.levels, m, 0)
+		res.cwc = core.NewTimeFamily(b.levels, m, 0)
+		res.d = core.NewTimeFamily(b.levels, m, core.Inf)
+		for a, name := range b.actions {
+			row := a * (L + 1)
+			for qi, q := range b.levels {
+				if t := times.at(row, qi, L); t != nil {
+					res.cav.Fns[qi][a], res.cwc.Fns[qi][a] = t[0], t[1]
+				} else if !b.zeroTimes {
 					errs = append(errs, fmt.Errorf("qos: action %q has no execution time at level %d", name, q))
+				}
+				if dl := deadlines.at(row, qi, L); dl != nil {
+					res.d.Fns[qi][a] = dl[0]
 				}
 			}
 		}
 	}
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// slab holds resolved declarations action-major: action a's entry at
+// level index qi is slot a·(L+1)+qi, and its wildcard slot a·(L+1)+L.
+type slab struct {
+	v   [][2]core.Cycles
+	set []bool
+}
+
+// at returns the entry of level index qi in the action row starting at
+// row, falling back to the row's wildcard, or nil when neither is set.
+func (s slab) at(row, qi, L int) *[2]core.Cycles {
+	if s.set[row+qi] {
+		return &s.v[row+qi]
+	}
+	if s.set[row+L] {
+		return &s.v[row+L]
+	}
+	return nil
+}
+
+// resolve writes decls into a slab, a later declaration of a slot
+// overriding an earlier one, and appends to errs, once per (action,
+// level), those that name an unknown action or a level outside the
+// range; what names the offence in each error.
+func (b *SystemBuilder) resolve(decls []decl, what string, errs []error) (slab, []error) {
+	L := len(b.levels)
+	s := slab{
+		v:   make([][2]core.Cycles, len(b.actions)*(L+1)),
+		set: make([]bool, len(b.actions)*(L+1)),
+	}
+	var seen map[decl]bool
+	for _, d := range decls {
+		a, known := b.index[d.action]
+		qi := L
+		if d.level != wildcard && b.levelsSet {
+			qi = b.levels.Index(d.level)
+		}
+		if known && qi >= 0 {
+			slot := int(a)*(L+1) + qi
+			s.v[slot], s.set[slot] = d.v, true
+			continue
+		}
+		key := decl{action: d.action, level: d.level}
+		if seen[key] {
+			continue
+		}
+		if seen == nil {
+			seen = make(map[decl]bool)
+		}
+		seen[key] = true
+		if !known {
+			errs = append(errs, fmt.Errorf("qos: %s unknown action %q", what, d.action))
+		}
+		if qi < 0 {
+			errs = append(errs, fmt.Errorf("qos: %s action %q at level %d outside range %v", what, d.action, d.level, b.levels))
+		}
+	}
+	return s, errs
 }
 
 // Build validates everything accumulated so far and materialises the
 // parameterized real-time system. All collected errors are returned
 // together (errors.Join), each naming the offending action and level.
 func (b *SystemBuilder) Build() (*core.System, error) {
-	if err := b.check(); err != nil {
-		return nil, err
-	}
-
-	gb := core.NewGraphBuilder()
-	for _, name := range b.actions {
-		gb.AddAction(name)
-	}
-	for _, e := range b.edges {
-		gb.AddEdge(e[0], e[1])
-	}
-	body, err := gb.Build()
+	res, err := b.check()
 	if err != nil {
 		return nil, err
 	}
-	// Resolve each body action's times, deadline and soft mark once;
-	// NewIteratedSystem tiles them over the iterations.
-	m := len(b.actions)
-	cav := core.NewTimeFamily(b.levels, m, 0)
-	cwc := core.NewTimeFamily(b.levels, m, 0)
-	d := core.NewTimeFamily(b.levels, m, core.Inf)
-	var softMask []bool
-	for a, name := range b.actions {
-		for _, q := range b.levels {
-			if v, ok := lookup(b.times, name, q); ok {
-				cav.Set(q, core.ActionID(a), v[0])
-				cwc.Set(q, core.ActionID(a), v[1])
-			}
-			if dl, ok := lookup(b.deadlines, name, q); ok {
-				d.Set(q, core.ActionID(a), dl)
-			}
-		}
-		if b.soft[name] {
-			if softMask == nil {
-				softMask = make([]bool, m)
-			}
-			softMask[a] = true
-		}
+	g, err := core.NewGraph(b.actions, res.edges)
+	if err != nil {
+		return nil, err
 	}
-	return core.NewIteratedSystem(body, b.iterate, b.levels, cav, cwc, d, softMask)
+	// NewIteratedSystem tiles the body's times, deadlines and soft
+	// marks over the iterations.
+	return core.NewIteratedSystem(g, b.iterate, b.levels, res.cav, res.cwc, res.d, res.soft)
 }
 
 // BuildProgram builds the system and precomputes its controller program

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -284,5 +285,25 @@ func TestParseModelZeroTimeDefault(t *testing.T) {
 	bid, _ := sys.Graph.Lookup("b")
 	if sys.Cav.At(0, bid) != 0 || sys.Cwc.At(1, bid) != 0 {
 		t.Fatal("unspecified time did not default to 0")
+	}
+}
+
+// TestParseModelRejectsNegativeLevel holds the time and deadline
+// directives to non-negative levels: "-1" once read as the "*" wildcard,
+// so a model meant for one level applied to all of them.
+func TestParseModelRejectsNegativeLevel(t *testing.T) {
+	for _, c := range []struct{ src, level string }{
+		{"levels 0 2\naction a\ntime a -1 5 9\n", "-1"},
+		{"levels 0 2\naction a\ntime a * 5 9\ndeadline a -1 100\n", "-1"},
+		{"levels 0 2\naction a\ntime a -3 5 9\n", "-3"},
+		{"levels 0 2\naction a\ntime a * 5 9\ndeadline a -3 100\n", "-3"},
+	} {
+		b, err := ParseModel(strings.NewReader(c.src))
+		if err == nil || b != nil {
+			t.Fatalf("%q: builder %v, error %v", c.src, b != nil, err)
+		}
+		if want := fmt.Sprintf("bad level %q", c.level); !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %q does not say %s", c.src, err, want)
+		}
 	}
 }
