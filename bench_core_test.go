@@ -8,9 +8,9 @@
 //	  go test -run TestEmitCoreBenchJSON -bench ControllerDecision -benchtime=1x .
 //
 // The emitter also enforces the engine's contract: >= 2x ns/decision
-// over the linear-scan reference at 16 levels, zero allocations per
-// Next+Completed on the table path, and a uniform-budget retarget that
-// beats the table rebuild.
+// over the linear-scan reference at 16 levels and zero allocations per
+// Next+Completed on the table path. Its retarget section reports the
+// per-frame cost of re-targeting per-macroblock deadlines, ungated.
 package qos_test
 
 import (
@@ -134,80 +134,43 @@ func BenchmarkControllerDecision(b *testing.B) {
 	})
 }
 
-// benchRetargetSystem: an mpeg frame system (single end-of-frame
-// deadline) plus a controller on the generic table path — the
-// configuration whose budget changes are uniform deadline shifts.
+// benchRetargetSystem: an mpeg frame system with per-macroblock
+// deadlines and a controller over it. Its deadlines scale non-uniformly
+// with the frame budget, so every budget change re-targets the
+// controller through a table rebuild (Controller.Retarget).
 func benchRetargetSystem(tb testing.TB, macroblocks int) (*mpeg.FrameSystem, *core.Controller, core.Cycles) {
 	tb.Helper()
 	budget := core.Cycles(macroblocks) * 300_000
-	fs, err := mpeg.BuildSystem(mpeg.SystemConfig{Macroblocks: macroblocks, Budget: budget})
+	fs, err := mpeg.BuildSystem(mpeg.SystemConfig{
+		Macroblocks: macroblocks, Budget: budget, PerMacroblockDeadlines: true,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ctrl, err := core.NewController(fs.Sys, core.WithTables(true))
+	ctrl, err := core.NewController(fs.Sys)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return fs, ctrl, budget
 }
 
-// BenchmarkRetarget measures per-frame budget re-targeting: the O(1)
-// uniform-shift fast path (FrameSystem.SetBudget on the generic table
-// path), the full table rebuild it replaces, and the LRU program-cache
-// path that amortises recurring non-uniform families.
+// benchPerMBRetarget alternates the frame budget between two values
+// and re-targets the controller to each (FrameSystem.SetBudget).
+func benchPerMBRetarget(b *testing.B, mbs int) {
+	fs, ctrl, budget := benchRetargetSystem(b, mbs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fs.SetBudget(budget+core.Cycles(1+i%2)*50_000, ctrl); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRetarget measures per-frame budget re-targeting of a
+// per-macroblock-deadline frame: a table rebuild per budget change.
 func BenchmarkRetarget(b *testing.B) {
-	const mbs = 100
-	b.Run("setbudget-uniform-shift", func(b *testing.B) {
-		fs, ctrl, budget := benchRetargetSystem(b, mbs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next := budget + core.Cycles(1+i%2)*50_000
-			if err := fs.SetBudget(next, ctrl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		fs, _, budget := benchRetargetSystem(b, mbs)
-		// The pre-threshold-engine SetBudget: rewrite the deadline
-		// family and rebuild the whole program (tables included).
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next := budget + core.Cycles(1+i%2)*50_000
-			if err := fs.SetBudget(next, nil); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.NewProgram(fs.Sys, core.WithTables(true)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("program-cache", func(b *testing.B) {
-		// Per-macroblock deadlines scale non-uniformly with the budget:
-		// the shift path cannot apply, but two recurring budgets hit the
-		// encoder-style LRU cache after the first rebuild of each.
-		budget := core.Cycles(mbs) * 300_000
-		fs, err := mpeg.BuildSystem(mpeg.SystemConfig{
-			Macroblocks: mbs, Budget: budget, PerMacroblockDeadlines: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl, err := core.NewController(fs.Sys, core.WithProgramCache(core.NewProgramCache(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next := budget + core.Cycles(1+i%2)*50_000
-			if err := fs.SetBudget(next, ctrl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("permb-rebuild", func(b *testing.B) { benchPerMBRetarget(b, 100) })
 }
 
 // coreBenchPoint is one BENCH_core.json decision-path row.
@@ -219,13 +182,11 @@ type coreBenchPoint struct {
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 }
 
-// coreBenchRetarget is the BENCH_core.json retarget section.
+// coreBenchRetarget is the BENCH_core.json retarget section: one
+// per-macroblock-deadline budget change, re-targeted by a rebuild.
 type coreBenchRetarget struct {
 	Macroblocks    int     `json:"macroblocks"`
-	UniformShiftNs float64 `json:"uniform_shift_ns"`
-	RebuildNs      float64 `json:"rebuild_ns"`
-	ProgramCacheNs float64 `json:"program_cache_ns"`
-	Speedup        float64 `json:"speedup_shift_vs_rebuild"`
+	PerMBRebuildNs float64 `json:"permb_rebuild_ns"`
 }
 
 // coreBenchFile is the BENCH_core.json schema.
@@ -240,11 +201,10 @@ type coreBenchFile struct {
 }
 
 // TestEmitCoreBenchJSON measures the decision hot path and the
-// retargeting paths and writes BENCH_core.json (path from
+// per-macroblock retarget and writes BENCH_core.json (path from
 // BENCH_CORE_JSON; skipped when unset). It fails — not just reports —
-// when the threshold engine loses its >= 2x edge at 16 levels, when the
-// table path allocates, or when the uniform-shift retarget stops
-// beating the rebuild.
+// when the threshold engine loses its >= 2x edge at 16 levels or when
+// the table path allocates.
 func TestEmitCoreBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_CORE_JSON")
 	if out == "" {
@@ -295,56 +255,8 @@ func TestEmitCoreBenchJSON(t *testing.T) {
 	}
 
 	const mbs = 100
-	measure := func(f func(b *testing.B)) float64 {
-		r := testing.Benchmark(f)
-		return float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	file.Retarget.Macroblocks = mbs
-	file.Retarget.UniformShiftNs = measure(func(b *testing.B) {
-		fs, ctrl, budget := benchRetargetSystem(b, mbs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fs.SetBudget(budget+core.Cycles(1+i%2)*50_000, ctrl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	file.Retarget.RebuildNs = measure(func(b *testing.B) {
-		fs, _, budget := benchRetargetSystem(b, mbs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fs.SetBudget(budget+core.Cycles(1+i%2)*50_000, nil); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.NewProgram(fs.Sys, core.WithTables(true)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	file.Retarget.ProgramCacheNs = measure(func(b *testing.B) {
-		budget := core.Cycles(mbs) * 300_000
-		fs, err := mpeg.BuildSystem(mpeg.SystemConfig{
-			Macroblocks: mbs, Budget: budget, PerMacroblockDeadlines: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl, err := core.NewController(fs.Sys, core.WithProgramCache(core.NewProgramCache(0)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := fs.SetBudget(budget+core.Cycles(1+i%2)*50_000, ctrl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	file.Retarget.Speedup = file.Retarget.RebuildNs / file.Retarget.UniformShiftNs
-	if file.Retarget.Speedup < 2 {
-		t.Errorf("uniform-shift retarget speedup = %.2fx over rebuild, want >= 2x (shift %.0f ns, rebuild %.0f ns)",
-			file.Retarget.Speedup, file.Retarget.UniformShiftNs, file.Retarget.RebuildNs)
-	}
+	r := testing.Benchmark(func(b *testing.B) { benchPerMBRetarget(b, mbs) })
+	file.Retarget = coreBenchRetarget{Macroblocks: mbs, PerMBRebuildNs: float64(r.T.Nanoseconds()) / float64(r.N)}
 
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
@@ -353,5 +265,5 @@ func TestEmitCoreBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (speedup %.2fx at 16 levels; retarget %.2fx)", out, file.SpeedupAt16Levels, file.Retarget.Speedup)
+	t.Logf("wrote %s (speedup %.2fx at 16 levels; per-MB retarget %.0f ns)", out, file.SpeedupAt16Levels, file.Retarget.PerMBRebuildNs)
 }

@@ -62,12 +62,6 @@ func WithEvaluator(ev Evaluator, order []ActionID) Option {
 	}
 }
 
-// WithProgramCache attaches a ProgramCache: Controller.Retarget
-// consults it before rebuilding tables for a non-uniform deadline
-// change and shares what it builds through it. One cache may serve any
-// number of controllers and programs over the same model.
-func WithProgramCache(pc *ProgramCache) Option { return func(p *Program) { p.cache = pc } }
-
 func boolPtr(b bool) *bool { return &b }
 
 // Decision is the controller's choice for one step: run Action at quality
@@ -93,7 +87,9 @@ type Decision struct {
 //
 // A Program is safe for concurrent use by any number of Controllers as
 // long as its evaluator is not re-targeted (Tables never is;
-// IterativeTables.SetBudget must not race with decisions).
+// IterativeTables.SetBudget must not race with decisions). New
+// deadlines never change a Program: Controller.Retarget builds another
+// one and moves that controller to it.
 type Program struct {
 	sys     *System
 	mode    Mode
@@ -101,7 +97,6 @@ type Program struct {
 
 	forceTables *bool
 	fixedAlpha  []ActionID
-	cache       *ProgramCache
 
 	// useTables selects the evaluator path; otherwise every decision
 	// re-derives Best_Sched per candidate level (allowedDirect).
@@ -127,16 +122,31 @@ func NewProgram(sys *System, opts ...Option) (*Program, error) {
 	if sys.Graph == nil || sys.Graph.Len() == 0 {
 		return nil, errors.New("core: system has no actions; a controllable cycle needs at least one")
 	}
-	if p.mode == Hard && !sys.FeasibleAtQmin() {
-		return nil, errors.New("core: no feasible schedule at qmin under worst-case times; hard control is impossible")
+	cwc, d := sys.Cwc.AtIndex(0), sys.D.AtIndex(0)
+	var edf []ActionID // the EDF order at qmin, computed at most once
+	if p.mode == Hard {
+		// Without soft marks the hard deadlines are D itself, so one EDF
+		// order at qmin serves the feasibility check and the schedule.
+		var feasible bool
+		if sys.Soft == nil {
+			edf = EDFSchedule(sys.Graph, cwc, d)
+			feasible = Feasible(edf, cwc, d)
+		} else {
+			feasible = sys.FeasibleAtQmin()
+		}
+		if !feasible {
+			return nil, errors.New("core: no feasible schedule at qmin under worst-case times; hard control is impossible")
+		}
 	}
 	if p.fixedAlpha != nil {
 		if !sys.Graph.IsSchedule(p.fixedAlpha) {
 			return nil, errors.New("core: WithSchedule sequence is not a schedule of the graph")
 		}
 		p.alpha = p.fixedAlpha
+	} else if edf != nil {
+		p.alpha = edf
 	} else {
-		p.alpha = EDFSchedule(sys.Graph, sys.Cwc.AtIndex(0), sys.D.AtIndex(0))
+		p.alpha = EDFSchedule(sys.Graph, cwc, d)
 	}
 	if p.eval != nil {
 		// A custom evaluator (e.g. IterativeTables) implies the table
@@ -210,13 +220,7 @@ type Controller struct {
 	i     int
 	t     Cycles
 	last  int // level *index* of the previous sustained decision; -1 = none
-	// dshift is the cumulative uniform deadline shift applied via
-	// ShiftDeadlines or the Retarget fast path: the precomputed slacks
-	// were built for deadlines dshift cycles earlier, so admissibility
-	// tests see the effective time t − dshift. It survives Reset (the
-	// budget persists across cycles) and is cleared by a full rebuild.
-	dshift Cycles
-	stats  ControllerStats
+	stats ControllerStats
 	// quarantined marks a controller whose workload panicked mid-cycle:
 	// its mutable state may be arbitrarily corrupted, so pools must
 	// refuse it. Deliberately NOT cleared by Reset — quarantine is
@@ -230,7 +234,7 @@ type Controller struct {
 	// Measured on a 2-vCPU VM (qosbench embedded, seed 42, 2 pairs):
 	// without the pad the ladder's two adjacent sessions cycling at
 	// once (mixer.contended_cycle_ns) take 13.1 µs against 8.2 µs.
-	_ [48]byte
+	_ [56]byte
 }
 
 // ControllerStats accumulates per-cycle controller behaviour.
@@ -305,22 +309,14 @@ func (c *Controller) Reset() { c.resetOver(c.prog) }
 // time budget changes between frames). The controller must be at a
 // cycle boundary (Reset or Done).
 //
-// Three paths, cheapest first:
-//
-//  1. Uniform shift (table path only): when every finite deadline of d
-//     is the current one displaced by a common Δ, every precomputed
-//     slack moves by exactly Δ, so the controller only adjusts its time
-//     base (see ShiftDeadlines) — no table rebuild, no revalidation
-//     beyond the O(1) qmin feasibility check against the shifted slack.
-//  2. Program cache: with WithProgramCache attached, a non-uniform d
-//     that matches a previously built family reuses that program.
-//  3. Rebuild: a fresh private Program through NewProgram, so every
-//     construction-time check applies; WithTables pins the previous
-//     evaluation path (a retarget that makes tables impossible is an
-//     error, not a silent downgrade to direct evaluation).
-//
-// All paths fork this controller off its previous Program; other
-// controllers sharing it are unaffected.
+// It builds a fresh private Program through NewProgram with the same
+// mode, maximal step, evaluation path and fixed schedule, so every
+// construction-time check applies; WithTables pins the previous
+// evaluation path (a retarget that makes tables impossible is an
+// error, not a silent downgrade to direct evaluation). The controller
+// forks off its previous Program; other controllers sharing it are
+// unaffected. d is used as given, not copied: a caller that rewrites
+// it in place must Retarget again before the next cycle.
 func (c *Controller) Retarget(d *TimeFamily) error {
 	if d == nil {
 		return errors.New("core: Retarget with a nil deadline family")
@@ -331,55 +327,15 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	if c.prog.eval != nil && c.prog.tables == nil {
 		return errors.New("core: Retarget with a custom evaluator; re-target the evaluator instead")
 	}
-	// Fast path: a uniform displacement of the current family keeps the
-	// precomputed tables valid under a shifted time base. d must be a
-	// distinct family — when the caller mutated the system's deadlines
-	// in place there is nothing to diff against, and only the rebuild
-	// path can help.
-	if tb := c.prog.tables; tb != nil && d != c.prog.sys.D {
-		if delta, uniform := UniformShift(c.prog.sys.D, d); uniform {
-			shift := c.dshift.AddSat(delta)
-			if c.prog.mode != Hard || tb.WcQminSlack[0].AddSat(shift) >= 0 {
-				sys := *c.prog.sys
-				sys.D = d
-				p := *c.prog
-				p.sys = &sys
-				c.prog = &p
-				c.dshift = shift
-				c.resetOver(&p)
-				return nil
-			}
-			// Shift made qmin infeasible along the table order; fall
-			// through to the rebuild path for NewProgram's exact
-			// (EDF-order) feasibility semantics and error message.
-		}
-	}
-	// Cache before Validate: a hit proves d value-equal to a family a
-	// previous rebuild already validated, so revalidation (an O(n·|Q|)
-	// scan) would be pure overhead on the hit path.
-	if pc := c.prog.cache; pc != nil {
-		if p := pc.lookup(c.prog, d); p != nil {
-			c.prog = p
-			c.dshift = 0
-			c.resetOver(p)
-			return nil
-		}
-	}
 	sys := *c.prog.sys
 	sys.D = d
 	if err := sys.Validate(); err != nil {
 		return err
 	}
-	if c.prog.cache != nil {
-		// Cached programs must own an immutable deadline snapshot: the
-		// caller may keep mutating d (or the in-place family) after us.
-		sys.D = d.Clone()
-	}
 	opts := []Option{
 		WithMode(c.prog.mode),
 		WithMaxStep(c.prog.maxStep),
 		WithTables(c.prog.useTables),
-		WithProgramCache(c.prog.cache),
 	}
 	if c.prog.fixedAlpha != nil {
 		opts = append(opts, WithSchedule(c.prog.fixedAlpha))
@@ -388,51 +344,10 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	if err != nil {
 		return fmt.Errorf("core: Retarget: %w", err)
 	}
-	if pc := c.prog.cache; pc != nil {
-		pc.insert(p)
-	}
 	c.prog = p
-	c.dshift = 0
 	c.resetOver(p)
 	return nil
 }
-
-// ShiftDeadlines applies a uniform deadline displacement in O(1): every
-// finite deadline of the system is taken to have moved by delta cycles
-// (e.g. the end-of-cycle budget grew or shrank by delta), so every
-// precomputed slack moves by delta and the controller merely adjusts
-// the time base its admissibility tests subtract — no table rebuild, no
-// allocation. The controller must be at a cycle boundary and on the
-// generic table path (Tables); iterative evaluators re-target through
-// IterativeTables.SetBudget instead.
-//
-// The controller's System().D family is NOT rewritten: the caller owns
-// keeping it consistent (the MPEG layer mutates it in place before
-// shifting; miss accounting reads it live). In Hard mode a delta that
-// would make minimal quality infeasible is rejected with no state
-// change.
-//
-//qos:hotpath
-func (c *Controller) ShiftDeadlines(delta Cycles) error {
-	if c.i != 0 && !c.Done() {
-		return errors.New("core: ShiftDeadlines mid-cycle")
-	}
-	tb := c.prog.tables
-	if tb == nil {
-		return errors.New("core: ShiftDeadlines requires the precomputed-table path")
-	}
-	shift := c.dshift.AddSat(delta)
-	if c.prog.mode == Hard && tb.WcQminSlack[0].AddSat(shift) < 0 {
-		return fmt.Errorf("core: ShiftDeadlines(%v): no feasible schedule at qmin under worst-case times", delta) //qos:alloc-ok error construction on the rejected-shift exit only; the accept path is allocation-free
-	}
-	c.dshift = shift
-	return nil
-}
-
-// DeadlineShift returns the cumulative uniform deadline shift currently
-// applied to the controller's time base (0 when the tables are used at
-// the deadlines they were built for).
-func (c *Controller) DeadlineShift() Cycles { return c.dshift }
 
 // Quarantine permanently marks the controller as poisoned: a workload
 // panicked mid-cycle, so the instance's mutable state (position, time,
@@ -500,14 +415,10 @@ func (c *Controller) decide() Decision {
 		// (O(log|Q|) probes over the precomputed slack thresholds; zero
 		// allocations). The generic tables are called concretely; only
 		// a custom evaluator pays the interface call.
-		teff := c.t
-		if c.dshift != 0 {
-			teff = teff.SubSat(c.dshift)
-		}
 		if tb := p.tables; tb != nil {
-			chosen, probes = tb.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
+			chosen, probes = tb.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
 		} else {
-			chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, teff, p.mode == Soft)
+			chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
 		}
 	} else {
 		for qi := hi; qi >= 0; qi-- {

@@ -1,10 +1,10 @@
 package core
 
 // Fuzz targets for the saturating Cycles arithmetic (differential
-// against a math/big reference) and for the controller's uniform
-// deadline-shift machinery (metamorphic: the cumulative shift must
-// saturate, and a hard-mode controller must never carry a shift that
-// makes minimal quality infeasible).
+// against a math/big reference) and for Controller.Retarget (a
+// hard-mode controller re-targeted through any sequence of displaced
+// deadline families never accepts one that makes minimal quality
+// infeasible, and never misses a deadline under worst-case times).
 //
 // Run the full targets with e.g.
 //
@@ -175,7 +175,8 @@ func FuzzMulSat(f *testing.F) {
 
 // shiftFuzzSystem is a small fixed 3-action chain with 2 levels and
 // finite deadlines, feasible at qmin — the table path applies and
-// WcQminSlack[0] is finite, so shift feasibility is non-trivial.
+// WcQminSlack[0] is finite, so a displaced family's feasibility is
+// non-trivial.
 func shiftFuzzSystem() *System {
 	b := NewGraphBuilder()
 	b.AddAction("a")
@@ -208,11 +209,14 @@ func shiftFuzzSystem() *System {
 }
 
 // FuzzShiftRetarget drives a hard-mode table controller through an
-// arbitrary sequence of ShiftDeadlines deltas and uniform Retargets and
-// asserts the dshift bookkeeping: the cumulative shift is the
-// saturating sum of the accepted deltas, a rejected shift leaves the
-// controller untouched, and hard-mode admissibility
-// (WcQminSlack[0] + shift >= 0) is never violated by an accepted state.
+// arbitrary sequence of Retargets, each to the current deadline family
+// with every finite entry displaced by a decoded delta (a budget that
+// grows or shrinks; saturated entries become +Inf). On every Retarget:
+// a rejected family leaves the controller untouched (program, deadlines
+// and position); an accepted one installs exactly that family at a
+// cycle start, keeps the table path, keeps minimal quality feasible
+// (WcQminSlack[0] >= 0) and runs a worst-case cycle with no miss and
+// no fallback. A Retarget mid-cycle is rejected.
 func FuzzShiftRetarget(f *testing.F) {
 	f.Add([]byte{0, 10, 255})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x7F})
@@ -223,16 +227,7 @@ func FuzzShiftRetarget(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewController: %v", err)
 		}
-		if _, ok := c.Program().Evaluator().(*Tables); !ok {
-			t.Fatal("controller not on the table path")
-		}
-		// The qmin suffix slack belongs to the current program: a
-		// rebuild-path Retarget installs new tables for the displaced
-		// deadlines, so re-read it before judging admissibility.
-		slack0 := func() Cycles {
-			return c.Program().Evaluator().(*Tables).WcQminSlack[0]
-		}
-		want := Cycles(0)
+		worst := func(a ActionID, q Level) Cycles { return sys.Cwc.At(q, a) }
 		for i, op := range ops {
 			if i > 64 {
 				break
@@ -252,61 +247,58 @@ func FuzzShiftRetarget(f *testing.F) {
 			case 4:
 				delta = Inf
 			}
-			if op%7 == 0 {
-				// Exercise the Retarget uniform-shift path with an
-				// explicitly displaced family. Infinite displacement
-				// would not be uniform (finite entries must stay
-				// finite), so bound it.
-				if delta.IsInf() || delta.IsNegInf() {
-					delta = 1000
-				}
-				nd := c.System().D.Clone()
-				finite := 0
-				for _, q := range nd.Levels {
-					for a := ActionID(0); int(a) < len(nd.Fns[0]); a++ {
-						if dl := nd.At(q, a); !dl.IsInf() {
-							nd.Set(q, a, dl.AddSat(delta))
-							finite++
-						}
+			nd := c.System().D.Clone()
+			for _, q := range nd.Levels {
+				for a := ActionID(0); int(a) < len(nd.Fns[0]); a++ {
+					if dl := nd.At(q, a); !dl.IsInf() {
+						nd.Set(q, a, dl.AddSat(delta))
 					}
-				}
-				if finite == 0 {
-					// Every deadline has saturated to +Inf: the clone is
-					// identical and UniformShift's Δ is 0 by definition.
-					delta = 0
-				}
-				prev := c.DeadlineShift()
-				if err := c.Retarget(nd); err != nil {
-					// A displacement that leaves no feasible schedule
-					// at qmin is rejected (via the rebuild path's
-					// validation); the controller must be untouched.
-					if c.DeadlineShift() != prev {
-						t.Fatalf("failed Retarget mutated dshift: %v != %v", c.DeadlineShift(), prev)
-					}
-					continue
-				}
-				got := c.DeadlineShift()
-				// Retarget may take the rebuild path (shift infeasible
-				// or non-uniform edge); then dshift resets to 0.
-				if got != prev.AddSat(delta) && got != 0 {
-					t.Fatalf("Retarget dshift = %v, want %v or 0", got, prev.AddSat(delta))
-				}
-				want = got
-			} else {
-				if err := c.ShiftDeadlines(delta); err != nil {
-					// Rejected: state must be unchanged.
-					if c.DeadlineShift() != want {
-						t.Fatalf("rejected shift mutated dshift: %v != %v", c.DeadlineShift(), want)
-					}
-					continue
-				}
-				want = want.AddSat(delta)
-				if c.DeadlineShift() != want {
-					t.Fatalf("dshift = %v, want saturating sum %v", c.DeadlineShift(), want)
 				}
 			}
-			if slack0().AddSat(c.DeadlineShift()) < 0 {
-				t.Fatalf("hard-mode admissibility violated: slack %v + shift %v < 0", slack0(), c.DeadlineShift())
+			if op%7 == 0 {
+				// Mid-cycle: one action done, so Retarget must refuse.
+				c.Reset()
+				d, err := c.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Completed(worst(d.Action, d.Level))
+				prog := c.Program()
+				if err := c.Retarget(nd); err == nil {
+					t.Fatal("mid-cycle Retarget accepted")
+				}
+				if c.Program() != prog || c.Position() != 1 {
+					t.Fatal("rejected mid-cycle Retarget mutated the controller")
+				}
+				if _, err := c.RunCycle(worst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prog, prevD, pos := c.Program(), c.System().D, c.Position()
+			if err := c.Retarget(nd); err != nil {
+				// A family that leaves no feasible schedule at qmin is
+				// rejected; the controller must be untouched.
+				if c.Program() != prog || c.System().D != prevD || c.Position() != pos {
+					t.Fatalf("failed Retarget(%v) mutated the controller", delta)
+				}
+				continue
+			}
+			if c.System().D != nd || c.Program() == prog || c.Position() != 0 || c.Elapsed() != 0 {
+				t.Fatalf("Retarget(%v) did not install the family at a cycle start", delta)
+			}
+			tb, ok := c.Program().Evaluator().(*Tables)
+			if !ok {
+				t.Fatal("Retarget left the table path")
+			}
+			if tb.WcQminSlack[0] < 0 {
+				t.Fatalf("hard-mode admissibility violated: qmin slack %v", tb.WcQminSlack[0])
+			}
+			res, err := c.RunCycle(worst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Misses != 0 || res.Fallbacks != 0 {
+				t.Fatalf("worst-case cycle after Retarget(%v): %d misses, %d fallbacks", delta, res.Misses, res.Fallbacks)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -157,7 +158,7 @@ func checkSelector(t *testing.T, what string, p *Program) {
 
 // TestProgramConcreteSelector pins where the decision step's concrete
 // selector comes from: NewProgram sets it exactly when the evaluator is
-// *Tables (built or supplied), every Retarget path keeps it, and
+// *Tables (built or supplied), Retarget's rebuild keeps it, and
 // IterativeTables still decides through the Evaluator interface. The
 // linear-scan oracle's case is TestCandidateEvalThresholdProbes.
 func TestProgramConcreteSelector(t *testing.T) {
@@ -213,41 +214,87 @@ func TestProgramConcreteSelector(t *testing.T) {
 		t.Fatalf("iterative decision %+v with %d probes, want level %d with %d", d, ic.Stats().CandidateEval, wantLevel, wantProbes)
 	}
 
-	// All three Retarget paths keep the selector.
-	pc := NewProgramCache(0)
-	c := mustController(t, sys, WithProgramCache(pc))
-	family := func(grow0, grow1 Cycles) *TimeFamily {
-		d := sys.D.Clone()
-		for qi := range d.Fns {
-			d.Fns[qi][0] += grow0
-			d.Fns[qi][1] += grow1
-		}
-		return d
+	// Retarget rebuilds and keeps the selector.
+	c := mustController(t, sys)
+	d2 := sys.D.Clone()
+	for qi := range d2.Fns {
+		d2.Fns[qi][0] += 50
 	}
-	before := c.Program().tables
-	if err := c.Retarget(family(10, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if c.DeadlineShift() != 10 || c.Program().tables != before {
-		t.Fatalf("uniform shift: shift %v, selector %p, want 10 and %p", c.DeadlineShift(), c.Program().tables, before)
-	}
-	checkSelector(t, "uniform shift", c.Program())
-	if err := c.Retarget(family(50, 0)); err != nil {
+	before := c.Program()
+	if err := c.Retarget(d2); err != nil {
 		t.Fatal(err)
 	}
 	rebuilt := c.Program()
 	checkSelector(t, "rebuild", rebuilt)
-	if c.DeadlineShift() != 0 || rebuilt.tables == nil {
-		t.Fatalf("rebuild: shift %v, selector %p", c.DeadlineShift(), rebuilt.tables)
+	if rebuilt == before || rebuilt.tables == nil || rebuilt.tables == before.tables {
+		t.Fatalf("rebuild: program %p selector %p, previous %p %p", rebuilt, rebuilt.tables, before, before.tables)
 	}
-	if err := c.Retarget(family(0, 30)); err != nil {
-		t.Fatal(err)
+}
+
+// TestProgramQminSchedule pins NewProgram's EDF schedule at qmin and
+// its hard-infeasible error in the three cases that compute them
+// differently: no soft marks (one EDF order serves both), soft marks
+// (feasibility reads the hard deadlines, the order reads D), and
+// WithSchedule (feasibility is still judged on the EDF order, not on
+// the fixed one).
+func TestProgramQminSchedule(t *testing.T) {
+	// a and b are independent, 20 cycles each at worst case; b's
+	// deadline is the earlier one, so EDF runs b first.
+	twoActions := func(da, db Cycles, soft []bool) *System {
+		t.Helper()
+		b := NewGraphBuilder()
+		b.AddAction("a")
+		b.AddAction("b")
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := NewLevelRange(0, 1)
+		d := NewTimeFamily(levels, 2, 0)
+		for _, q := range levels {
+			d.Set(q, 0, da)
+			d.Set(q, 1, db)
+		}
+		sys, err := NewSystem(g, levels, NewTimeFamily(levels, 2, 10), NewTimeFamily(levels, 2, 20), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Soft = soft
+		return sys
 	}
-	if err := c.Retarget(family(50, 0)); err != nil {
-		t.Fatal(err)
+	const infeasible = "core: no feasible schedule at qmin under worst-case times; hard control is impossible"
+	for _, tc := range []struct {
+		name string
+		sys  *System
+		opts []Option
+		want []ActionID // nil: hard NewProgram must fail with infeasible
+	}{
+		{name: "no soft marks", sys: twoActions(100, 30, nil), want: []ActionID{1, 0}},
+		{name: "no soft marks, infeasible", sys: twoActions(100, 15, nil)},
+		{name: "soft mark lifts b", sys: twoActions(100, 15, []bool{false, true}), want: []ActionID{1, 0}},
+		{name: "soft marks, infeasible", sys: twoActions(10, 15, []bool{false, true})},
+		// The fixed order runs a first and would miss b's deadline;
+		// the EDF order at qmin is feasible, so the program is built.
+		{name: "WithSchedule", sys: twoActions(100, 30, nil), opts: []Option{WithSchedule([]ActionID{0, 1})}, want: []ActionID{0, 1}},
+		{name: "WithSchedule, infeasible", sys: twoActions(100, 15, nil), opts: []Option{WithSchedule([]ActionID{1, 0})}},
+	} {
+		p, err := NewProgram(tc.sys, tc.opts...)
+		if tc.want == nil {
+			if err == nil || err.Error() != infeasible {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, infeasible)
+			}
+			// Soft mode does not gate on feasibility.
+			if _, err := NewProgram(tc.sys, append(tc.opts, WithMode(Soft))...); err != nil {
+				t.Errorf("%s: soft mode: %v", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got := p.Schedule(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: schedule %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	if hits, _ := pc.Stats(); hits != 1 || c.Program() != rebuilt {
-		t.Fatalf("cache hit: %d hits, program %p, want 1 hit on %p", hits, c.Program(), rebuilt)
-	}
-	checkSelector(t, "cache hit", c.Program())
 }

@@ -7,20 +7,6 @@ import (
 	"testing"
 )
 
-// A reuseOp is a between-cycles reconfiguration: a ShiftDeadlines by
-// delta, or (family non-nil) a Retarget to family.
-type reuseOp struct {
-	delta  Cycles
-	family *TimeFamily
-}
-
-func (op reuseOp) apply(c *Controller) error {
-	if op.family != nil {
-		return c.Retarget(op.family)
-	}
-	return c.ShiftDeadlines(op.delta)
-}
-
 // stepRecord is what one step of a cycle shows through the controller's
 // public surface: the decision, then the assignment and elapsed time at
 // the decision and after the completion.
@@ -91,15 +77,13 @@ func checkAssignmentOracle(c *Controller, steps []stepRecord) error {
 // inputs: every step must show the same decision, assignment and
 // elapsed time, and every cycle the same CycleResult. The fresh side is
 // built from the original system and options and replays every
-// ShiftDeadlines and Retarget the reused side saw between its cycles,
-// so it carries the same configuration history and no cycle history.
-// The mix covers Hard and Soft mode, the table and direct paths,
-// WithMaxStep, contract-breaking costs (fallbacks), and all three
-// Retarget paths (uniform shift, cache hit, rebuild) through a shared
-// ProgramCache.
+// Retarget the reused side saw between its cycles, so it carries the
+// same configuration history and no cycle history. The mix covers Hard
+// and Soft mode, the table and direct paths, WithMaxStep,
+// contract-breaking costs (fallbacks), and Retarget's rebuilds.
 func TestDifferentialControllerReuse(t *testing.T) {
 	const cycles = 10
-	var fallbacks, shifts, cycled int
+	var fallbacks, retargets int
 	for seed := int64(1); seed <= 48; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		sys := randomUniformOrderSystem(r, 10, 6)
@@ -112,13 +96,12 @@ func TestDifferentialControllerReuse(t *testing.T) {
 		if seed%3 == 0 {
 			maxStep = 1 + r.Intn(2)
 		}
-		pc := NewProgramCache(0)
-		opts := []Option{WithMode(mode), WithMaxStep(maxStep), WithTables(tables), WithProgramCache(pc)}
+		opts := []Option{WithMode(mode), WithMaxStep(maxStep), WithTables(tables)}
 
-		// A small set of deadline families to retarget through, so
-		// that later retargets hit the cache: the base, a uniform
-		// displacement of it, and a loosening of one action's finite
-		// deadline (non-uniform as soon as another deadline is finite).
+		// A small set of deadline families to retarget through: the
+		// base, a uniform displacement of it, and a loosening of one
+		// action's finite deadline (non-uniform as soon as another
+		// deadline is finite).
 		shifted := sys.D.Clone()
 		loose := sys.D.Clone()
 		grow := Cycles(5 + r.Intn(40))
@@ -139,38 +122,27 @@ func TestDifferentialControllerReuse(t *testing.T) {
 		if got := reused.Program().UsesTables(); got != tables {
 			t.Fatalf("seed %d: UsesTables = %v, want %v", seed, got, tables)
 		}
-		var ops []reuseOp
+		var ops []*TimeFamily
 		for cycle := 0; cycle < cycles; cycle++ {
 			if cycle > 0 {
 				reused.Reset()
-				var op reuseOp
-				switch k := r.Intn(4); {
-				case k == 0 && tables:
-					op = reuseOp{delta: Cycles(r.Intn(90) - 30)}
-				case k >= 2:
-					op = reuseOp{family: families[r.Intn(len(families))]}
-				}
-				if op.family != nil || op.delta != 0 {
-					err := op.apply(reused)
-					if err != nil && op.family != nil {
+				if r.Intn(2) == 0 {
+					family, prev := families[r.Intn(len(families))], reused.Program()
+					if err := reused.Retarget(family); err != nil {
 						t.Fatalf("seed %d cycle %d: Retarget: %v", seed, cycle, err)
 					}
-					if err == nil {
-						ops = append(ops, op)
-						if op.family == nil {
-							shifts++
-						}
+					if reused.Program() == prev {
+						t.Fatalf("seed %d cycle %d: Retarget did not rebuild", seed, cycle)
 					}
+					ops = append(ops, family)
+					retargets++
 				}
 			}
 			fresh := mustController(t, sys, opts...)
-			for k, op := range ops {
-				if err := op.apply(fresh); err != nil {
-					t.Fatalf("seed %d cycle %d: replaying op %d on a fresh controller: %v", seed, cycle, k, err)
+			for k, family := range ops {
+				if err := fresh.Retarget(family); err != nil {
+					t.Fatalf("seed %d cycle %d: replaying Retarget %d on a fresh controller: %v", seed, cycle, k, err)
 				}
-			}
-			if reused.DeadlineShift() != fresh.DeadlineShift() {
-				t.Fatalf("seed %d cycle %d: deadline shift %v vs fresh %v", seed, cycle, reused.DeadlineShift(), fresh.DeadlineShift())
 			}
 
 			drawSeed := seed*1000 + int64(cycle)
@@ -201,12 +173,9 @@ func TestDifferentialControllerReuse(t *testing.T) {
 			}
 			fallbacks += gotRes.Fallbacks
 		}
-		if hits, _ := pc.Stats(); hits > 0 {
-			cycled++
-		}
 	}
 	// The mix must actually reach the paths it claims to cover.
-	if fallbacks == 0 || shifts == 0 || cycled == 0 {
-		t.Fatalf("coverage: %d fallbacks, %d accepted ShiftDeadlines, %d seeds with cache hits; want all > 0", fallbacks, shifts, cycled)
+	if fallbacks == 0 || retargets == 0 {
+		t.Fatalf("coverage: %d fallbacks, %d retargets; want both > 0", fallbacks, retargets)
 	}
 }

@@ -100,12 +100,6 @@ func NewControlled(n int, budget core.Cycles, seed uint64, opts ...ControlledOpt
 	ctrlOpts := cfg.ctrlOpts
 	if fs.Iter != nil {
 		ctrlOpts = append(ctrlOpts, core.WithEvaluator(fs.Iter, fs.Iter.Order()))
-	} else {
-		// Per-macroblock deadlines re-target through Controller.Retarget
-		// every time the frame budget changes; a small program cache
-		// makes recurring budget values (a quantised rate controller's
-		// output) rebuild their tables only once.
-		ctrlOpts = append(ctrlOpts, core.WithProgramCache(core.NewProgramCache(0)))
 	}
 	ctrl, err := core.NewController(fs.Sys, ctrlOpts...)
 	if err != nil {

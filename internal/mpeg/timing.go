@@ -196,35 +196,20 @@ func (fs *FrameSystem) Budget() core.Cycles { return fs.budget }
 //   - Iterative tables (the default single end-of-frame deadline case,
 //     controller built over fs.Iter): O(1), the evaluator's budget
 //     field is the only state.
-//   - Generic tables with an end-of-frame deadline: also O(1) — a
-//     budget change moves every finite deadline by the same Δ, so the
-//     controller's time base is shifted (Controller.ShiftDeadlines)
-//     instead of rebuilding its tables.
-//   - Per-macroblock deadlines: the proportional deadlines scale
-//     (non-uniformly) with the budget, so the controller re-targets
-//     through Controller.Retarget — a table rebuild, amortised by the
-//     encoder's program cache when budget values recur.
+//   - Per-macroblock deadlines (any controller not over fs.Iter): the
+//     proportional deadlines scale (non-uniformly) with the budget, so
+//     the controller re-targets through Controller.Retarget, a table
+//     rebuild.
 func (fs *FrameSystem) SetBudget(b core.Cycles, ctrl *core.Controller) error {
 	if b == fs.budget {
 		return nil
 	}
-	delta := b.SubSat(fs.budget)
 	fs.applyBudget(b)
 	if ctrl == nil {
 		return nil
 	}
 	if fs.Iter != nil && ctrl.Program().Evaluator() == fs.Iter {
 		return nil // fs.Iter.SetBudget in applyBudget already re-targeted it
-	}
-	if !fs.Cfg.PerMacroblockDeadlines {
-		// Single end-of-frame deadline: every finite deadline moved by
-		// delta (applyBudget rewrote fs.Sys.D in place), a uniform shift.
-		if err := ctrl.ShiftDeadlines(delta); err == nil {
-			return nil
-		}
-		// Not on the generic table path (e.g. direct evaluation, or a
-		// hard-infeasible shrink whose error message NewProgram owns):
-		// fall through to the full retarget.
 	}
 	return ctrl.Retarget(fs.Sys.D)
 }

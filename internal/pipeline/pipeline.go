@@ -49,14 +49,6 @@ type Config struct {
 	// select the paper's 1.1 Mbit/s at 25 frame/s.
 	Bitrate   float64
 	FrameRate float64
-	// BudgetQuantum, when positive, rounds each frame's time budget down
-	// to a multiple of the quantum (never below the feasible minimum).
-	// Latency-derived budgets vary by a few cycles every frame;
-	// quantising them makes the values recur, which turns the
-	// per-macroblock-deadline ablation's per-frame retargets into
-	// program-cache hits instead of table rebuilds. Zero keeps exact
-	// budgets.
-	BudgetQuantum core.Cycles
 	// PSNR optionally overrides the PSNR model (zero value = default).
 	PSNR *mpeg.PSNRModel
 }
@@ -347,9 +339,6 @@ func run(cfg Config, grant *mixer.Grant, enc *mpeg.Encoder) (*Result, error) {
 			if share := grant.Share(); budget > share {
 				budget = share
 			}
-		}
-		if q := cfg.BudgetQuantum; q > 0 && budget > q {
-			budget = budget.SubSat(budget % q)
 		}
 		if budget < minBudget {
 			// Defensive clamp; unreachable for the controlled encoder

@@ -35,44 +35,6 @@ func TestSingleFrameStream(t *testing.T) {
 	}
 }
 
-// TestBudgetQuantum: with a quantum configured, every encoded frame's
-// budget is a multiple of it (unless clamped up to the feasible
-// minimum), so the per-MB retarget path sees recurring values; misses
-// must not appear (rounding down never exceeds the latency bound).
-func TestBudgetQuantum(t *testing.T) {
-	src := tinySource(t, 12)
-	q := core.Mcycle / 2
-	res, err := Run(Config{Source: src, K: 2, Controlled: true, Seed: 1, BudgetQuantum: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[core.Cycles]bool{}
-	for _, r := range res.EncodedRecords() {
-		if r.Budget%q != 0 {
-			// Only the feasibility clamp may break alignment.
-			if r.Budget >= q {
-				t.Errorf("frame %d: budget %v not a multiple of quantum %v", r.Index, r.Budget, q)
-			}
-		}
-		distinct[r.Budget] = true
-	}
-	if res.Misses != 0 {
-		t.Fatalf("quantised budgets caused %d misses", res.Misses)
-	}
-	// The whole point: quantisation collapses the budget values.
-	exact, err := Run(Config{Source: src, K: 2, Controlled: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinctExact := map[core.Cycles]bool{}
-	for _, r := range exact.EncodedRecords() {
-		distinctExact[r.Budget] = true
-	}
-	if len(distinct) > len(distinctExact) {
-		t.Errorf("quantisation increased distinct budgets: %d vs %d", len(distinct), len(distinctExact))
-	}
-}
-
 func TestHugeBufferNeverSkips(t *testing.T) {
 	src := tinySource(t, 20)
 	res, err := Run(Config{Source: src, K: 50, ConstQ: 7, Seed: 1})

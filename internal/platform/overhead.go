@@ -4,51 +4,11 @@ import "repro/internal/core"
 
 // The paper reports, for a single processor without OS and a readable
 // cycle register, instrumentation overheads of ~2% code size, <=1% memory
-// and <1.5% runtime. This file models the runtime component: the cycles
-// a generated controller burns per decision.
+// and <1.5% runtime. The executor charges the runtime component: the
+// cycles a generated controller burns per decision.
 
 // DefaultDecisionOverhead is the per-decision controller cost charged by
 // Executor. One decision on the table fast path is: read cycle register,
 // walk at most |Q| precomputed slack pairs, write the chosen level —
 // a few hundred cycles on a XiRisc-class core.
 const DefaultDecisionOverhead core.Cycles = 150
-
-// OverheadModel describes the three instrumentation overheads for a
-// generated controlled application, mirroring the paper's section 3
-// estimates so the benchmark can report the same quantities.
-type OverheadModel struct {
-	// CodeBytesPerAction is the instrumentation added around each action
-	// call site (the call into the generic controller plus table refs).
-	CodeBytesPerAction int
-	// TableBytesPerEntry is the size of one precomputed slack entry.
-	TableBytesPerEntry int
-	// DecisionCycles is the runtime cost per controller decision.
-	DecisionCycles core.Cycles
-}
-
-// DefaultOverheadModel matches the orders of magnitude of the paper's
-// prototype (table entries are two 8-byte slacks per level/position).
-func DefaultOverheadModel() OverheadModel {
-	return OverheadModel{
-		CodeBytesPerAction: 48,
-		TableBytesPerEntry: 16,
-		DecisionCycles:     DefaultDecisionOverhead,
-	}
-}
-
-// OverheadEstimate is the static estimate for a concrete system.
-type OverheadEstimate struct {
-	CodeBytes      int
-	TableBytes     int
-	CyclesPerCycle core.Cycles // controller cycles per application cycle (frame)
-}
-
-// Estimate computes the instrumentation overhead for a system with n
-// actions per cycle and the given number of quality levels.
-func (m OverheadModel) Estimate(actions, levels int) OverheadEstimate {
-	return OverheadEstimate{
-		CodeBytes:      actions * m.CodeBytesPerAction,
-		TableBytes:     actions * levels * m.TableBytesPerEntry,
-		CyclesPerCycle: m.DecisionCycles.MulSat(core.Cycles(actions)),
-	}
-}

@@ -210,20 +210,6 @@ func TestExecutorRunConstantPanicsOnBadLevel(t *testing.T) {
 	e.RunConstant(sys, 9, WorkloadFunc(func(core.ActionID, core.Level) core.Cycles { return 1 }))
 }
 
-func TestOverheadModelEstimate(t *testing.T) {
-	m := DefaultOverheadModel()
-	est := m.Estimate(9, 8)
-	if est.CodeBytes != 9*m.CodeBytesPerAction {
-		t.Errorf("code bytes = %d", est.CodeBytes)
-	}
-	if est.TableBytes != 9*8*m.TableBytesPerEntry {
-		t.Errorf("table bytes = %d", est.TableBytes)
-	}
-	if est.CyclesPerCycle != core.Cycles(9)*m.DecisionCycles {
-		t.Errorf("cycles = %v", est.CyclesPerCycle)
-	}
-}
-
 func TestPropertyRNGFloatBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

@@ -73,14 +73,9 @@ type tallied struct {
 }
 
 // NewRuntime validates the system, precomputes its controller program
-// with the given options and returns the serving runtime. The program
-// carries a shared retarget cache (core.ProgramCache): sessions whose
-// controllers re-target to a recurring set of deadline families (an
-// advanced, explicitly un-pooled flow) rebuild each family's tables at
-// most once runtime-wide. Pass core.WithProgramCache in opts to size or
-// share it explicitly.
+// with the given options and returns the serving runtime. Every session
+// it serves decides over that one program.
 func NewRuntime(sys *core.System, opts ...core.Option) (*Runtime, error) {
-	opts = append([]core.Option{core.WithProgramCache(core.NewProgramCache(0))}, opts...)
 	prog, err := core.NewProgram(sys, opts...)
 	if err != nil {
 		return nil, err
@@ -204,11 +199,10 @@ func (r *Runtime) Release(s *Session) {
 	s.budget = nil
 	s.tally = nil
 	// A Retarget would have forked the controller off the shared
-	// program, a ShiftDeadlines leaves a private time base behind, and
-	// a quarantined controller's mid-cycle state is unknowable after a
-	// workload panic; keep only instances indistinguishable from fresh
-	// ones.
-	if ctrl != nil && !ctrl.Quarantined() && ctrl.Program() == r.prog && ctrl.DeadlineShift() == 0 {
+	// program, and a quarantined controller's mid-cycle state is
+	// unknowable after a workload panic; keep only instances
+	// indistinguishable from fresh ones.
+	if ctrl != nil && !ctrl.Quarantined() && ctrl.Program() == r.prog {
 		r.pool.Put(ctrl)
 	}
 }

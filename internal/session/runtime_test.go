@@ -159,34 +159,6 @@ func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRuntimeShiftedSessionNotPooled: a session whose controller got a
-// uniform deadline shift (ShiftDeadlines leaves the shared program in
-// place but installs a private time base) must not re-enter the pool —
-// a later stream would silently inherit the shifted budget.
-func TestRuntimeShiftedSessionNotPooled(t *testing.T) {
-	sys := demoSystem(t)
-	rt, err := NewRuntime(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rt.Acquire()
-	if err := s.Controller().ShiftDeadlines(50); err != nil {
-		t.Fatal(err)
-	}
-	shifted := s.Controller()
-	rt.Release(s)
-	for i := 0; i < 8; i++ {
-		s2 := rt.Acquire()
-		if s2.Controller() == shifted {
-			t.Fatal("deadline-shifted controller re-entered the shared pool")
-		}
-		if s2.Controller().DeadlineShift() != 0 {
-			t.Fatal("acquired session carries a foreign deadline shift")
-		}
-		defer rt.Release(s2)
-	}
-}
-
 // TestRuntimeConcurrentStreams drives 8 concurrent sessions through one
 // runtime under -race: one shared System's precomputed tables serving
 // many streams, each deterministic and miss free.

@@ -193,8 +193,10 @@ func Wrap(ctrl *core.Controller, obs ...Observer) *Session {
 func (s *Session) Observe(obs ...Observer) { s.obs = append(s.obs, obs...) }
 
 // Controller exposes the underlying controller for advanced use
-// (Retarget, custom evaluators). Sessions acquired from a Runtime must
-// not Retarget it — that would fork away from the shared tables.
+// (Retarget, custom evaluators). A Retarget moves the controller to a
+// program of its own, so a session acquired from a Runtime that
+// re-targets no longer shares the runtime's tables, and Release does
+// not pool its controller.
 func (s *Session) Controller() *core.Controller { return s.ctrl }
 
 // System returns the controlled system.

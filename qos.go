@@ -250,10 +250,6 @@ var (
 	WithSchedule = core.WithSchedule
 	// WithEvaluator installs a custom admissibility evaluator.
 	WithEvaluator = core.WithEvaluator
-	// WithProgramCache attaches an LRU retarget cache to the program.
-	WithProgramCache = core.WithProgramCache
-	// NewProgramCache builds an LRU cache of re-targeted programs.
-	NewProgramCache = core.NewProgramCache
 )
 
 // Analysis and codegen-side types: schedules, tables, evaluators.
@@ -267,9 +263,6 @@ type (
 	// Evaluator is the admissibility oracle interface; its
 	// MaxAdmissibleLevel is the controller's decision.
 	Evaluator = core.Evaluator
-	// ProgramCache is a small LRU of re-targeted programs keyed by
-	// deadline family.
-	ProgramCache = core.ProgramCache
 )
 
 var (
