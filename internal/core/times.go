@@ -270,9 +270,18 @@ func (s LevelSet) Valid() bool {
 
 // TimeFamily is a quality-indexed family of time functions {X_q}, stored
 // densely: Fns[i] is the function for level LevelSet[i].
+//
+// Levels and the Fns row headers are fixed once a family is built: no
+// code re-slices or replaces either, because dense is computed from
+// Levels then. Their entries may still be written.
 type TimeFamily struct {
 	Levels LevelSet
 	Fns    []TimeFn
+	// dense is len(Levels) when Levels is exactly 0, 1, …, n−1, so that
+	// level q is row q, and 0 otherwise. NewTimeFamily sets it and Clone
+	// copies it; a family written as a struct literal has 0 and takes
+	// At's general path.
+	dense uint
 }
 
 // NewTimeFamily allocates a family over levels for n actions, with every
@@ -282,7 +291,18 @@ func NewTimeFamily(levels LevelSet, n int, v Cycles) *TimeFamily {
 	for i := range fns {
 		fns[i] = NewTimeFn(n, v)
 	}
-	return &TimeFamily{Levels: append(LevelSet(nil), levels...), Fns: fns}
+	return &TimeFamily{Levels: append(LevelSet(nil), levels...), Fns: fns, dense: zeroBased(levels)}
+}
+
+// zeroBased returns len(s) when s is exactly 0, 1, …, len(s)−1, and 0
+// otherwise.
+func zeroBased(s LevelSet) uint {
+	for i, q := range s {
+		if q != Level(i) {
+			return 0
+		}
+	}
+	return uint(len(s))
 }
 
 // Tile expands a family sized for a body of m actions over n iterations
@@ -318,15 +338,28 @@ func (t *TimeFamily) Clone() *TimeFamily {
 	for i, f := range t.Fns {
 		fns[i] = f.Clone()
 	}
-	return &TimeFamily{Levels: append(LevelSet(nil), t.Levels...), Fns: fns}
+	return &TimeFamily{Levels: append(LevelSet(nil), t.Levels...), Fns: fns, dense: t.dense}
 }
 
-// At returns X_q(a). A level at its offset q − qmin in the level set
-// (every level of a contiguous range) is answered in line; any other
-// level goes to index.
+// At returns X_q(a). On a zero-based level set (see dense) level q is
+// row q, and At answers in line, inlined into its caller; any other
+// family goes to at.
 //
 //qos:hotpath
 func (t *TimeFamily) At(q Level, a ActionID) Cycles {
+	if uint(q) < t.dense {
+		return t.Fns[q][a]
+	}
+	return t.at(q, a)
+}
+
+// at is At for a family that is not zero-based, or a level outside a
+// zero-based set. A level at its offset q − qmin in the level set
+// (every level of a contiguous range) is answered here; any other level
+// goes to index. It is kept out of line so that At stays inlinable.
+//
+//go:noinline
+func (t *TimeFamily) at(q Level, a ActionID) Cycles {
 	if s := t.Levels; len(s) > 0 {
 		if i := uint(q - s[0]); i < uint(len(s)) && s[i] == q {
 			return t.Fns[i][a]
@@ -339,12 +372,18 @@ func (t *TimeFamily) At(q Level, a ActionID) Cycles {
 func (t *TimeFamily) AtIndex(i int) TimeFn { return t.Fns[i] }
 
 // Set assigns X_q(a) = v.
-func (t *TimeFamily) Set(q Level, a ActionID, v Cycles) { t.Fns[t.index(q)][a] = v }
+func (t *TimeFamily) Set(q Level, a ActionID, v Cycles) {
+	if uint(q) < t.dense {
+		t.Fns[q][a] = v
+		return
+	}
+	t.Fns[t.index(q)][a] = v
+}
 
 // index returns q's position in the family's level set and panics for a
 // level that is not in it. It is kept out of line so that the scan and
-// the message formatting stay out of At, which answers the common case
-// itself.
+// the message formatting stay out of at, which answers every level of a
+// contiguous range itself.
 //
 //go:noinline
 func (t *TimeFamily) index(q Level) int {

@@ -259,6 +259,67 @@ func TestTimeFamilyAtFastAndSlowPaths(t *testing.T) {
 	}
 }
 
+// TestTimeFamilyAtFastPath checks which families take At's in-line
+// path and that both paths read and write the right row: dense is
+// len(Levels) exactly for a zero-based set built by NewTimeFamily, Tile
+// or Clone, and 0 for any other set and for a struct literal.
+func TestTimeFamilyAtFastPath(t *testing.T) {
+	const m = 4
+	for _, tc := range []struct {
+		levels    LevelSet
+		zeroBased bool
+	}{
+		{NewLevelRange(0, 7), true},
+		{LevelSet{0}, true},
+		{NewLevelRange(2, 9), false},
+		{NewLevelRange(-3, 4), false},
+		{LevelSet{0, 1, 3}, false},
+		{LevelSet{0, 2, 5}, false},
+		{LevelSet{-3, 1, 9}, false},
+	} {
+		built := NewTimeFamily(tc.levels, m, 0)
+		for i, f := range built.Fns {
+			for a := range f {
+				f[a] = Cycles(1000*i + a + 1)
+			}
+		}
+		literal := &TimeFamily{Levels: built.Levels, Fns: built.Clone().Fns}
+		for _, fc := range []struct {
+			name        string
+			fam         *TimeFamily
+			constructed bool
+		}{
+			{"NewTimeFamily", built, true},
+			{"Tile", built.Tile(3, 1, 7), true},
+			{"Clone", built.Clone(), true},
+			{"literal", literal, false},
+		} {
+			fam := fc.fam
+			var want uint
+			if tc.zeroBased && fc.constructed {
+				want = uint(len(tc.levels))
+			}
+			if fam.dense != want {
+				t.Errorf("%s over %v: dense = %d, want %d", fc.name, tc.levels, fam.dense, want)
+			}
+			for _, q := range tc.levels {
+				i := fam.Levels.Index(q)
+				for a := range fam.Fns[i] {
+					id := ActionID(a)
+					if got, want := fam.At(q, id), fam.Fns[i][a]; got != want {
+						t.Errorf("%s over %v: At(%d, %d) = %v, want Fns[%d][%d] = %v", fc.name, tc.levels, q, a, got, i, a, want)
+					}
+					v := -Cycles(1000*i + a + 1)
+					fam.Set(q, id, v)
+					if got := fam.At(q, id); got != v || fam.Fns[i][a] != v {
+						t.Errorf("%s over %v: Set(%d, %d, %v) then At = %v, Fns[%d][%d] = %v", fc.name, tc.levels, q, a, v, got, i, a, fam.Fns[i][a])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTimeFamilyMissingLevelMessage pins the panic of At and Set for a
 // level outside the set, on both lookup paths and on an empty set.
 func TestTimeFamilyMissingLevelMessage(t *testing.T) {
@@ -445,5 +506,42 @@ func TestSubSatNegInfContract(t *testing.T) {
 	}
 	if got := Cycles(7).SubSat(Cycles(math.MinInt64)); got != Inf {
 		t.Errorf("7 - norm(MinInt64) = %v, want Inf", got)
+	}
+}
+
+// atSink keeps BenchmarkTimeFamilyAt's sums live.
+var atSink Cycles
+
+// BenchmarkTimeFamilyAt is the level-lookup layer row: one op reads
+// X_θ(a) for every action of a 72-action cycle, as a cost function
+// charges a cycle. dense is a zero-based level set (every .qos model),
+// answered by At in line; offset is a contiguous set from 2, answered
+// by at's offset check; sparse has a gap after every level, so all but
+// qmin are scanned by index.
+func BenchmarkTimeFamilyAt(b *testing.B) {
+	const n = 72
+	for _, bc := range []struct {
+		name   string
+		levels LevelSet
+	}{
+		{"dense", NewLevelRange(0, 7)},
+		{"offset", NewLevelRange(2, 9)},
+		{"sparse", LevelSet{0, 2, 4, 6, 8, 10, 12, 14}},
+	} {
+		fam := NewTimeFamily(bc.levels, n, 1)
+		theta := make(Assignment, n)
+		for a := range theta {
+			theta[a] = bc.levels[a*3%len(bc.levels)]
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s Cycles
+			for i := 0; i < b.N; i++ {
+				for a, q := range theta {
+					s += fam.At(q, ActionID(a))
+				}
+			}
+			atSink = s
+		})
 	}
 }

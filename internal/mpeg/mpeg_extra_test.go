@@ -171,3 +171,42 @@ func TestBuildSystemMatchesPerActionExpansion(t *testing.T) {
 		}
 	}
 }
+
+// TestSetBudgetRollsBackRefusedBudget sets a hard-infeasible budget on
+// a per-macroblock frame twice: both calls must fail, and the budget,
+// every deadline and the controller's program must stay as they were.
+func TestSetBudgetRollsBackRefusedBudget(t *testing.T) {
+	cfg := SystemConfig{Macroblocks: 20, Budget: core.Mcycle, PerMacroblockDeadlines: true}
+	fs, err := BuildSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := fs.MinFeasibleBudget()
+	cfg.Budget = 2 * floor
+	if fs, err = BuildSystem(cfg); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := core.NewController(fs.Sys, core.WithMode(core.Hard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, d := ctrl.Program(), fs.Sys.D.Clone()
+	for call := 1; call <= 2; call++ {
+		if err := fs.SetBudget(floor/2, ctrl); err == nil {
+			t.Fatalf("call %d: SetBudget of half the minimal feasible budget returned nil", call)
+		}
+		if got := fs.Budget(); got != cfg.Budget {
+			t.Fatalf("call %d: Budget() = %v, want %v", call, got, cfg.Budget)
+		}
+		for i, f := range fs.Sys.D.Fns {
+			for a, dl := range f {
+				if dl != d.Fns[i][a] {
+					t.Fatalf("call %d: D[%d][%d] = %v, want %v", call, i, a, dl, d.Fns[i][a])
+				}
+			}
+		}
+		if ctrl.Program() != prog {
+			t.Fatalf("call %d: the controller's program changed", call)
+		}
+	}
+}

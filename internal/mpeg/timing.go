@@ -200,10 +200,15 @@ func (fs *FrameSystem) Budget() core.Cycles { return fs.budget }
 //     proportional deadlines scale (non-uniformly) with the budget, so
 //     the controller re-targets through Controller.Retarget, a table
 //     rebuild.
+//
+// A budget the controller refuses (Retarget's error, such as one below
+// the hard-feasible minimum) is rolled back: the previous budget and its
+// deadlines stay applied, and the controller keeps its program.
 func (fs *FrameSystem) SetBudget(b core.Cycles, ctrl *core.Controller) error {
 	if b == fs.budget {
 		return nil
 	}
+	prev := fs.budget
 	fs.applyBudget(b)
 	if ctrl == nil {
 		return nil
@@ -211,7 +216,11 @@ func (fs *FrameSystem) SetBudget(b core.Cycles, ctrl *core.Controller) error {
 	if fs.Iter != nil && ctrl.Program().Evaluator() == fs.Iter {
 		return nil // fs.Iter.SetBudget in applyBudget already re-targeted it
 	}
-	return ctrl.Retarget(fs.Sys.D)
+	if err := ctrl.Retarget(fs.Sys.D); err != nil {
+		fs.applyBudget(prev)
+		return err
+	}
+	return nil
 }
 
 // WorstCaseBudget returns the worst-case cycles to encode a whole frame

@@ -141,6 +141,7 @@ type Daemon struct {
 	start    time.Time
 
 	mAdmit, mRelease, mDecide, mCapacity, mHealth, mMetrics *endpointMetrics
+	mux                                                     *http.ServeMux
 }
 
 // ParsePolicy maps a policy name (as printed by mixer.Policy.String) to
@@ -203,6 +204,13 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	sort.Strings(d.order)
 	d.decideLimit = api.DecideBodyLimit(cfg.MaxBatch, d.maxActions)
+	d.mux = http.NewServeMux()
+	d.mux.HandleFunc("/v1/admit", d.instrument(d.mAdmit, d.handleAdmit))
+	d.mux.HandleFunc("/v1/release", d.instrument(d.mRelease, d.handleRelease))
+	d.mux.HandleFunc("/v1/decide", d.instrument(d.mDecide, d.handleDecide))
+	d.mux.HandleFunc("/v1/capacity", d.instrument(d.mCapacity, d.handleCapacity))
+	d.mux.HandleFunc("/healthz", d.instrument(d.mHealth, d.handleHealthz))
+	d.mux.HandleFunc("/metrics", d.instrument(d.mMetrics, d.handleMetrics))
 	return d, nil
 }
 
@@ -336,17 +344,9 @@ func (d *Daemon) teardownLocked(st *stream) {
 	st.m.rt.Release(st.sess)
 }
 
-// Handler returns the daemon's HTTP mux.
-func (d *Daemon) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/admit", d.instrument(d.mAdmit, d.handleAdmit))
-	mux.HandleFunc("/v1/release", d.instrument(d.mRelease, d.handleRelease))
-	mux.HandleFunc("/v1/decide", d.instrument(d.mDecide, d.handleDecide))
-	mux.HandleFunc("/v1/capacity", d.instrument(d.mCapacity, d.handleCapacity))
-	mux.HandleFunc("/healthz", d.instrument(d.mHealth, d.handleHealthz))
-	mux.HandleFunc("/metrics", d.instrument(d.mMetrics, d.handleMetrics))
-	return mux
-}
+// Handler returns the daemon's HTTP mux, built once by New: every call
+// returns the same mux.
+func (d *Daemon) Handler() http.Handler { return d.mux }
 
 // instrument wraps a handler that reports the status code it wrote,
 // folding every request into the endpoint's counters and latency

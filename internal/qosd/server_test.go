@@ -826,6 +826,38 @@ func TestQosdMetricsParse(t *testing.T) {
 	}
 }
 
+// TestQosdHandlerBuiltOnce serves one daemon through two Handler()
+// values: both are the one mux New built, both serve, and their
+// requests count into one set of /metrics counters.
+func TestQosdHandlerBuiltOnce(t *testing.T) {
+	d, srv := newTestDaemon(t, nil)
+	h := d.Handler()
+	if h != d.Handler() {
+		t.Fatal("Handler() built a second mux")
+	}
+	srv2 := httptest.NewServer(h)
+	defer srv2.Close()
+	admitN(t, srv, 1)
+	admitN(t, srv2, 1)
+	resp, err := http.Get(srv2.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"qosd_streams_active 2",
+		`qosd_http_requests_total{endpoint="admit",code="200"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("/metrics missing %q\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestQosdDrainUnderFire (run with -race) hammers decide from several
 // goroutines while the daemon drains: no decide may race the teardown,
 // every post-drain request is refused, and every grant is back in the
