@@ -1,12 +1,18 @@
 package qos_test
 
 import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mixer"
 	"repro/internal/mpeg"
+	"repro/internal/qosd"
 	"repro/internal/session"
 )
 
@@ -41,12 +47,32 @@ func admitFleet(b *testing.B, rt *session.Runtime, spec mixer.StreamSpec) {
 	}
 }
 
+// churnStreams is the daemon row's fleet: the 32 streams qosbench's
+// qosd-churn workload admits at setup.
+const churnStreams = 32
+
+// churnConfig is qosd-churn's daemon configuration: a budget that holds
+// the fleet's MinNeed floors plus room for six more, a two-epoch lease
+// on a 100 ms reaper tick and a 20 ms admit timeout.
+func churnConfig(spec mixer.StreamSpec) qosd.Config {
+	return qosd.Config{
+		Models:        []qosd.ModelFile{{Name: "mpeg_body", Path: setupModel}},
+		Budget:        spec.MinNeed*(churnStreams+6) + spec.MinNeed*2/3,
+		LeaseEpochs:   2,
+		EpochInterval: 100 * time.Millisecond,
+		AdmitTimeout:  20 * time.Millisecond,
+	}
+}
+
 // BenchmarkSetup times building the serving state from a model. The
 // fleet row is the whole of qosbench's embedded setup: LoadModel, Build,
 // NewRuntime, SpecFromProgram, a Fair leased budget and 16 admitted,
 // bound sessions. The parse, build, tables and admit rows split it, each
-// starting from the previous phase's output. The mpeg-frame-600 row is
-// mpeg.BuildSystem for a 600-macroblock frame.
+// starting from the previous phase's output. The daemon row is
+// qosbench's qosd-churn setup without its client's decoding: qosd.New on
+// qosd-churn's configuration, StartReaper and a 32-stream admit through
+// Handler(); the daemon is drained outside the timer. The
+// mpeg-frame-600 row is mpeg.BuildSystem for a 600-macroblock frame.
 func BenchmarkSetup(b *testing.B) {
 	b.Run("fleet", func(b *testing.B) {
 		b.ReportAllocs()
@@ -122,6 +148,27 @@ func BenchmarkSetup(b *testing.B) {
 			fresh := session.NewRuntimeFromProgram(rt.Program())
 			b.StartTimer()
 			admitFleet(b, fresh, spec)
+		}
+	})
+
+	b.Run("daemon", func(b *testing.B) {
+		cfg := churnConfig(spec)
+		body := []byte(fmt.Sprintf(`{"streams":%d}`, churnStreams))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d, err := qosd.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.StartReaper()
+			rec := httptest.NewRecorder()
+			d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/admit", bytes.NewReader(body)))
+			if ids := bytes.Count(rec.Body.Bytes(), []byte(`"id":`)); rec.Code != http.StatusOK || ids != churnStreams {
+				b.Fatalf("admit: HTTP %d, %d ids: %s", rec.Code, ids, rec.Body)
+			}
+			b.StopTimer()
+			d.Drain()
+			b.StartTimer()
 		}
 	})
 

@@ -250,3 +250,83 @@ func TestQosdMainCutsStalledClients(t *testing.T) {
 		t.Fatal("daemon did not shut down on context cancellation")
 	}
 }
+
+// TestQosdMainCutsDribblingClients: clients that send decide headers
+// and then dribble the body one byte every 50 ms never stall long
+// enough for a per-read timeout, but the whole-request read deadline
+// still cuts each one off within readTimeout plus a margin, with a 400,
+// and the daemon's goroutines return to their count before them.
+func TestQosdMainCutsDribblingClients(t *testing.T) {
+	saved := readTimeout
+	readTimeout = 300 * time.Millisecond
+	t.Cleanup(func() { readTimeout = saved })
+	const margin = 2 * time.Second
+
+	ctx, cancel := context.WithCancel(context.Background())
+	base, done, _, stderr := bootDaemon(t, ctx, "-model", "../../examples/models/mpeg_body.qos")
+	baseline := runtime.NumGoroutine()
+
+	const dribblers = 4
+	addr := strings.TrimPrefix(base, "http://")
+	var wg sync.WaitGroup
+	conns := make([]net.Conn, dribblers)
+	start := time.Now()
+	for i := range conns {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, "POST /v1/decide HTTP/1.1\r\nHost: qosd\r\n"+
+			"Content-Type: application/json\r\nContent-Length: 4096\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+		// The body, one byte every 50 ms, until the daemon closes the
+		// connection or the test does.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := []byte(`{"items":[{"stream":1,"load":0.5}` + strings.Repeat(" ", 4096) + `]}`)
+			for _, b := range body {
+				if _, err := c.Write([]byte{b}); err != nil {
+					return
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+		}()
+	}
+
+	for i, c := range conns {
+		c.SetReadDeadline(start.Add(readTimeout + margin))
+		reply, err := io.ReadAll(c)
+		if err != nil {
+			t.Fatalf("dribbling client %d not cut off within %v: %v (read %q)", i, readTimeout+margin, err, reply)
+		}
+		if !bytes.HasPrefix(reply, []byte("HTTP/1.1 400")) {
+			t.Fatalf("dribbling client %d: reply %q", i, reply)
+		}
+		c.Close()
+	}
+	if elapsed := time.Since(start); elapsed > readTimeout+margin {
+		t.Fatalf("dribbling clients cut off after %v, read deadline %v", elapsed, readTimeout)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(margin)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the dribbling clients: %d goroutines, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	cancel()
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("exit code %d\nstderr: %s", code, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down on context cancellation")
+	}
+}

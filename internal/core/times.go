@@ -285,11 +285,13 @@ type TimeFamily struct {
 }
 
 // NewTimeFamily allocates a family over levels for n actions, with every
-// entry set to v.
+// entry set to v. Its rows share one backing array, each row capped at
+// its length.
 func NewTimeFamily(levels LevelSet, n int, v Cycles) *TimeFamily {
+	slab := NewTimeFn(len(levels)*n, v)
 	fns := make([]TimeFn, len(levels))
 	for i := range fns {
-		fns[i] = NewTimeFn(n, v)
+		fns[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &TimeFamily{Levels: append(LevelSet(nil), levels...), Fns: fns, dense: zeroBased(levels)}
 }
@@ -332,11 +334,22 @@ func (t *TimeFamily) Tile(n, from int, v Cycles) *TimeFamily {
 	return out
 }
 
-// Clone returns a deep copy of the family.
+// Clone returns a deep copy of the family, its rows in one backing
+// array as NewTimeFamily lays them out; an empty row stays nil, as
+// TimeFn.Clone leaves it.
 func (t *TimeFamily) Clone() *TimeFamily {
+	total := 0
+	for _, f := range t.Fns {
+		total += len(f)
+	}
+	slab := make(TimeFn, 0, total)
 	fns := make([]TimeFn, len(t.Fns))
 	for i, f := range t.Fns {
-		fns[i] = f.Clone()
+		if len(f) > 0 {
+			start := len(slab)
+			slab = append(slab, f...)
+			fns[i] = slab[start:len(slab):len(slab)]
+		}
 	}
 	return &TimeFamily{Levels: append(LevelSet(nil), t.Levels...), Fns: fns, dense: t.dense}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -262,7 +264,9 @@ func TestTimeFamilyAtFastAndSlowPaths(t *testing.T) {
 // TestTimeFamilyAtFastPath checks which families take At's in-line
 // path and that both paths read and write the right row: dense is
 // len(Levels) exactly for a zero-based set built by NewTimeFamily, Tile
-// or Clone, and 0 for any other set and for a struct literal.
+// or Clone, and 0 for any other set and for a struct literal. The rows
+// those three build share one backing array, and checkRowsApart holds
+// them apart.
 func TestTimeFamilyAtFastPath(t *testing.T) {
 	const m = 4
 	for _, tc := range []struct {
@@ -302,6 +306,9 @@ func TestTimeFamilyAtFastPath(t *testing.T) {
 			if fam.dense != want {
 				t.Errorf("%s over %v: dense = %d, want %d", fc.name, tc.levels, fam.dense, want)
 			}
+			if fc.constructed {
+				checkRowsApart(t, fc.name, fam, built)
+			}
 			for _, q := range tc.levels {
 				i := fam.Levels.Index(q)
 				for a := range fam.Fns[i] {
@@ -317,6 +324,41 @@ func TestTimeFamilyAtFastPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkRowsApart checks that each row of fam, which shares one backing
+// array with its other rows, is capped at its length, and that a Set
+// on all of one row's entries leaves every other row of fam, and src,
+// unchanged. fam's entries are restored afterwards.
+func checkRowsApart(t *testing.T, name string, fam, src *TimeFamily) {
+	t.Helper()
+	rows := func(f *TimeFamily) [][]Cycles {
+		out := make([][]Cycles, len(f.Fns))
+		for i, r := range f.Fns {
+			out[i] = append([]Cycles(nil), r...)
+		}
+		return out
+	}
+	for i, r := range fam.Fns {
+		if cap(r) != len(r) {
+			t.Errorf("%s over %v: row %d has capacity %d, length %d", name, fam.Levels, i, cap(r), len(r))
+		}
+	}
+	famBefore, srcBefore := rows(fam), rows(src)
+	for i, q := range fam.Levels {
+		for a := range fam.Fns[i] {
+			fam.Set(q, ActionID(a), -424242)
+		}
+		for j, r := range fam.Fns {
+			if j != i && !slices.Equal(r, famBefore[j]) {
+				t.Errorf("%s over %v: a Set on row %d changed row %d: %v, was %v", name, fam.Levels, i, j, r, famBefore[j])
+			}
+		}
+		if fam != src && !reflect.DeepEqual(rows(src), srcBefore) {
+			t.Errorf("%s over %v: a Set on row %d changed the family it was made from", name, fam.Levels, i)
+		}
+		copy(fam.Fns[i], famBefore[i])
 	}
 }
 

@@ -495,6 +495,54 @@ func AppendDecideResult(b []byte, r *DecideResult) []byte {
 	return append(b, '}')
 }
 
+// AppendAdmitResponse appends resp as json.NewEncoder(w).Encode writes
+// it, trailing newline included: {"streams":[, each stream's fields in
+// declaration order with commas between the streams, and ]} and a
+// newline, or "null" for nil streams. Model names are escaped as
+// encoding/json escapes strings, HTML-safe.
+func AppendAdmitResponse(dst []byte, resp *AdmitResponse) []byte {
+	// Grow up front for the usual reply: a stream's keys, braces,
+	// quotes and comma take 75 bytes, its six integers about ten digits
+	// each, and its model name its length unescaped. A longer reply
+	// grows as append grows it.
+	n := len(`{"streams":[]}`) + 1
+	for i := range resp.Streams {
+		n += 75 + 6*10 + len(resp.Streams[i].Model)
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	b := append(dst, `{"streams":`...)
+	if resp.Streams == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range resp.Streams {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			s := &resp.Streams[i]
+			b = append(b, `{"id":`...)
+			b = strconv.AppendUint(b, s.ID, 10)
+			b = append(b, `,"model":`...)
+			b = appendString(b, s.Model)
+			b = append(b, `,"share":`...)
+			b = strconv.AppendInt(b, s.Share, 10)
+			b = append(b, `,"nominal":`...)
+			b = strconv.AppendInt(b, s.Nominal, 10)
+			b = append(b, `,"min_need":`...)
+			b = strconv.AppendInt(b, s.MinNeed, 10)
+			b = append(b, `,"full_need":`...)
+			b = strconv.AppendInt(b, s.FullNeed, 10)
+			b = append(b, `,"actions":`...)
+			b = strconv.AppendInt(b, int64(s.Actions), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...)
+}
+
 // appendFloat formats a finite f as encoding/json does: ES6 number to
 // string, the 'e' form below 1e-6 and from 1e21 on, with a one-digit
 // negative exponent unpadded (e-7, not e-07).

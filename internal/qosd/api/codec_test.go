@@ -14,7 +14,7 @@ import (
 	"unsafe"
 )
 
-// The codec's contract is equality with encoding/json, so both fuzz
+// The codec's contract is equality with encoding/json, so its fuzz
 // targets are differential: encoding/json is the reference. Their
 // corpora under testdata/fuzz hold the plain shape and the bodies that
 // must fall back.
@@ -150,6 +150,30 @@ func FuzzAppendDecideResponse(f *testing.F) {
 		want := bytes.NewBufferString("prefix")
 		_ = json.NewEncoder(want).Encode(&resp) // writes nothing on NaN or Inf
 		if got := AppendDecideResponse([]byte("prefix"), &resp); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%#v:\nappended      %q\nencoding/json %q", resp, got, want.Bytes())
+		}
+	})
+}
+
+func FuzzAppendAdmitResponse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, id uint64, model string, share, nominal, minNeed, fullNeed int64, actions int, streams uint8) {
+		s := StreamInfo{ID: id, Model: model, Share: share, Nominal: nominal,
+			MinNeed: minNeed, FullNeed: fullNeed, Actions: actions}
+		// 0 streams is a nil slice; any multiple of 4 an empty one.
+		var resp AdmitResponse
+		if streams > 0 {
+			resp.Streams = make([]StreamInfo, streams%4)
+			for i := range resp.Streams {
+				resp.Streams[i] = s
+				resp.Streams[i].ID += uint64(i)
+				resp.Streams[i].Model += strings.Repeat(model, i)
+			}
+		}
+		want := bytes.NewBufferString("prefix")
+		if err := json.NewEncoder(want).Encode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendAdmitResponse([]byte("prefix"), &resp); !bytes.Equal(got, want.Bytes()) {
 			t.Fatalf("%#v:\nappended      %q\nencoding/json %q", resp, got, want.Bytes())
 		}
 	})

@@ -22,9 +22,9 @@ const (
 	churnItems   = 16
 )
 
-// churnFleet boots an mpeg_body daemon with the churn fleet admitted
-// and returns it with the admitted stream ids.
-func churnFleet(tb testing.TB) (*Daemon, []uint64) {
+// churnConfig is an mpeg_body daemon's configuration on the churn
+// budget.
+func churnConfig(tb testing.TB) Config {
 	tb.Helper()
 	path := "../../examples/models/mpeg_body.qos"
 	probe, err := New(Config{Models: []ModelFile{{Name: "mpeg_body", Path: path}}})
@@ -33,10 +33,17 @@ func churnFleet(tb testing.TB) (*Daemon, []uint64) {
 	}
 	spec := probe.models["mpeg_body"].spec
 	probe.Drain()
-	d, err := New(Config{
+	return Config{
 		Models: []ModelFile{{Name: "mpeg_body", Path: path}},
 		Budget: spec.MinNeed*(churnStreams+6) + spec.MinNeed*2/3,
-	})
+	}
+}
+
+// churnFleet boots an mpeg_body daemon with the churn fleet admitted
+// and returns it with the admitted stream ids.
+func churnFleet(tb testing.TB) (*Daemon, []uint64) {
+	tb.Helper()
+	d, err := New(churnConfig(tb))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 			Actions:  m.nActions,
 		})
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	return writeOK(w, api.AppendAdmitResponse(nil, &resp))
 }
 
 // register binds a grant to a fresh session and enters it in the
@@ -302,10 +302,7 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 	}
 	reply = append(reply, "]}\n"...)
 	sc.body = reply
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(reply)
-	return http.StatusOK
+	return writeOK(w, reply)
 }
 
 // decideOne runs one stream (nil if unknown) through one controlled

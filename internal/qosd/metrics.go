@@ -16,74 +16,61 @@ import (
 // in seconds, log-spaced from 50µs to 1s — decide batches sit at the
 // bottom, admission waits under load at the top. Durations beyond the
 // last bound land in the +Inf bucket.
-var latencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1,
 }
 
 // trackedCodes are the response codes counted per endpoint; anything
-// else folds into codeOther.
-var trackedCodes = []int{200, 400, 404, 405, 410, 413, 422, 429, 500, 503}
-
-const codeOther = 0
+// else folds into the "other" slot after them.
+var trackedCodes = [...]int{200, 400, 404, 405, 410, 413, 422, 429, 500, 503}
 
 // endpointMetrics accumulates one endpoint's request counts and latency
 // histogram. All fields are atomics: the serving path never locks to
-// record a sample, and /metrics reads whatever is current.
+// record a sample, and /metrics reads whatever is current. The Daemon
+// holds one per endpoint by value.
 type endpointMetrics struct {
-	name    string
-	codes   map[int]*atomic.Int64 // fixed key set after construction
-	buckets []atomic.Int64        // len(latencyBuckets)+1, last is +Inf
+	codes   [len(trackedCodes) + 1]atomic.Int64   // slot i counts trackedCodes[i], the last slot every other code
+	buckets [len(latencyBuckets) + 1]atomic.Int64 // the last is +Inf
 	sumNs   atomic.Int64
 	count   atomic.Int64
 }
 
-func newEndpointMetrics(name string) *endpointMetrics {
-	m := &endpointMetrics{
-		name:    name,
-		codes:   make(map[int]*atomic.Int64, len(trackedCodes)+1),
-		buckets: make([]atomic.Int64, len(latencyBuckets)+1),
-	}
-	for _, c := range trackedCodes {
-		m.codes[c] = new(atomic.Int64)
-	}
-	m.codes[codeOther] = new(atomic.Int64)
-	return m
-}
-
 // observe records one served request.
 func (m *endpointMetrics) observe(code int, d time.Duration) {
-	c, ok := m.codes[code]
-	if !ok {
-		c = m.codes[codeOther]
+	slot := len(trackedCodes)
+	for i, c := range trackedCodes {
+		if c == code {
+			slot = i
+			break
+		}
 	}
-	c.Add(1)
-	secs := d.Seconds()
-	i := sort.SearchFloat64s(latencyBuckets, secs)
-	m.buckets[i].Add(1)
+	m.codes[slot].Add(1)
+	m.buckets[sort.SearchFloat64s(latencyBuckets[:], d.Seconds())].Add(1)
 	m.sumNs.Add(d.Nanoseconds())
 	m.count.Add(1)
 }
 
-// write renders the endpoint's series in Prometheus text format.
-func (m *endpointMetrics) write(w io.Writer) {
-	for _, code := range trackedCodes {
-		if n := m.codes[code].Load(); n > 0 {
-			fmt.Fprintf(w, "qosd_http_requests_total{endpoint=%q,code=\"%d\"} %d\n", m.name, code, n)
+// write renders the series of the endpoint named name in Prometheus
+// text format.
+func (m *endpointMetrics) write(w io.Writer, name string) {
+	for i, code := range trackedCodes {
+		if n := m.codes[i].Load(); n > 0 {
+			fmt.Fprintf(w, "qosd_http_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, code, n)
 		}
 	}
-	if n := m.codes[codeOther].Load(); n > 0 {
-		fmt.Fprintf(w, "qosd_http_requests_total{endpoint=%q,code=\"other\"} %d\n", m.name, n)
+	if n := m.codes[len(trackedCodes)].Load(); n > 0 {
+		fmt.Fprintf(w, "qosd_http_requests_total{endpoint=%q,code=\"other\"} %d\n", name, n)
 	}
 	cum := int64(0)
 	for i, bound := range latencyBuckets {
 		cum += m.buckets[i].Load()
-		fmt.Fprintf(w, "qosd_http_request_duration_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", m.name, bound, cum)
+		fmt.Fprintf(w, "qosd_http_request_duration_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", name, bound, cum)
 	}
 	cum += m.buckets[len(latencyBuckets)].Load()
-	fmt.Fprintf(w, "qosd_http_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", m.name, cum)
-	fmt.Fprintf(w, "qosd_http_request_duration_seconds_sum{endpoint=%q} %g\n", m.name, float64(m.sumNs.Load())/1e9)
-	fmt.Fprintf(w, "qosd_http_request_duration_seconds_count{endpoint=%q} %d\n", m.name, m.count.Load())
+	fmt.Fprintf(w, "qosd_http_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "qosd_http_request_duration_seconds_sum{endpoint=%q} %g\n", name, float64(m.sumNs.Load())/1e9)
+	fmt.Fprintf(w, "qosd_http_request_duration_seconds_count{endpoint=%q} %d\n", name, m.count.Load())
 }
 
 // ctrlStats aggregates ControllerStats across every cycle the daemon
@@ -165,8 +152,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		fmt.Fprintf(w, "qosd_controller_candidate_evals_total{model=%q} %d\n", name, m.ctrl.candidateEval.Load())
 	}
 
-	for _, em := range []*endpointMetrics{d.mAdmit, d.mRelease, d.mDecide, d.mCapacity, d.mHealth, d.mMetrics} {
-		em.write(w)
+	for i := range d.metrics {
+		d.metrics[i].write(w, endpointNames[i])
 	}
 	return http.StatusOK
 }

@@ -140,9 +140,24 @@ type Daemon struct {
 	draining atomic.Bool
 	start    time.Time
 
-	mAdmit, mRelease, mDecide, mCapacity, mHealth, mMetrics *endpointMetrics
-	mux                                                     *http.ServeMux
+	// metrics holds each endpoint's counters, indexed like
+	// endpointNames.
+	metrics [numEndpoints]endpointMetrics
 }
+
+// The daemon's endpoints, in /metrics order.
+const (
+	epAdmit = iota
+	epRelease
+	epDecide
+	epCapacity
+	epHealthz
+	epMetrics
+	numEndpoints
+)
+
+// endpointNames label each endpoint's series in /metrics.
+var endpointNames = [numEndpoints]string{"admit", "release", "decide", "capacity", "healthz", "metrics"}
 
 // ParsePolicy maps a policy name (as printed by mixer.Policy.String) to
 // its constant.
@@ -180,12 +195,6 @@ func New(cfg Config) (*Daemon, error) {
 		reaperStop: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 		start:      time.Now(),
-		mAdmit:     newEndpointMetrics("admit"),
-		mRelease:   newEndpointMetrics("release"),
-		mDecide:    newEndpointMetrics("decide"),
-		mCapacity:  newEndpointMetrics("capacity"),
-		mHealth:    newEndpointMetrics("healthz"),
-		mMetrics:   newEndpointMetrics("metrics"),
 	}
 	for _, mf := range cfg.Models {
 		if mf.Name == "" {
@@ -204,13 +213,6 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	sort.Strings(d.order)
 	d.decideLimit = api.DecideBodyLimit(cfg.MaxBatch, d.maxActions)
-	d.mux = http.NewServeMux()
-	d.mux.HandleFunc("/v1/admit", d.instrument(d.mAdmit, d.handleAdmit))
-	d.mux.HandleFunc("/v1/release", d.instrument(d.mRelease, d.handleRelease))
-	d.mux.HandleFunc("/v1/decide", d.instrument(d.mDecide, d.handleDecide))
-	d.mux.HandleFunc("/v1/capacity", d.instrument(d.mCapacity, d.handleCapacity))
-	d.mux.HandleFunc("/healthz", d.instrument(d.mHealth, d.handleHealthz))
-	d.mux.HandleFunc("/metrics", d.instrument(d.mMetrics, d.handleMetrics))
 	return d, nil
 }
 
@@ -248,7 +250,7 @@ func loadModel(mf ModelFile, cfg Config) (*model, error) {
 		rt:       rt,
 		budget:   budget,
 		spec:     spec,
-		nActions: len(rt.Program().Schedule()),
+		nActions: sys.Graph.Len(),
 	}, nil
 }
 
@@ -344,19 +346,45 @@ func (d *Daemon) teardownLocked(st *stream) {
 	st.m.rt.Release(st.sess)
 }
 
-// Handler returns the daemon's HTTP mux, built once by New: every call
-// returns the same mux.
-func (d *Daemon) Handler() http.Handler { return d.mux }
+// Handler returns the daemon's HTTP handler: the Daemon itself, so
+// every call returns the same value.
+func (d *Daemon) Handler() http.Handler { return d }
 
-// instrument wraps a handler that reports the status code it wrote,
-// folding every request into the endpoint's counters and latency
-// histogram.
-func (d *Daemon) instrument(m *endpointMetrics, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		code := h(w, r)
-		m.observe(code, time.Since(t0))
+// ServeHTTP routes a request by its exact path to one of the six
+// endpoints and folds it into that endpoint's counters and latency
+// histogram. Any other path is answered 404 and counted nowhere; paths
+// are not cleaned, so //v1/decide or /v1/./capacity is such a path.
+func (d *Daemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	var ep int
+	var h func(*Daemon, http.ResponseWriter, *http.Request) int
+	switch r.URL.Path {
+	case "/v1/admit":
+		ep, h = epAdmit, (*Daemon).handleAdmit
+	case "/v1/release":
+		ep, h = epRelease, (*Daemon).handleRelease
+	case "/v1/decide":
+		ep, h = epDecide, (*Daemon).handleDecide
+	case "/v1/capacity":
+		ep, h = epCapacity, (*Daemon).handleCapacity
+	case "/healthz":
+		ep, h = epHealthz, (*Daemon).handleHealthz
+	case "/metrics":
+		ep, h = epMetrics, (*Daemon).handleMetrics
+	default:
+		http.NotFound(w, r)
+		return
 	}
+	t0 := time.Now()
+	code := h(d, w, r)
+	d.metrics[ep].observe(code, time.Since(t0))
+}
+
+// writeOK sends a 200 reply whose JSON body is already encoded.
+func writeOK(w http.ResponseWriter, body []byte) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	return http.StatusOK
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) int {

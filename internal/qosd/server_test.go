@@ -827,13 +827,13 @@ func TestQosdMetricsParse(t *testing.T) {
 }
 
 // TestQosdHandlerBuiltOnce serves one daemon through two Handler()
-// values: both are the one mux New built, both serve, and their
-// requests count into one set of /metrics counters.
+// values: both are the daemon itself, both serve, and their requests
+// count into one set of /metrics counters.
 func TestQosdHandlerBuiltOnce(t *testing.T) {
 	d, srv := newTestDaemon(t, nil)
 	h := d.Handler()
 	if h != d.Handler() {
-		t.Fatal("Handler() built a second mux")
+		t.Fatal("Handler() returned a second handler")
 	}
 	srv2 := httptest.NewServer(h)
 	defer srv2.Close()
@@ -854,6 +854,33 @@ func TestQosdHandlerBuiltOnce(t *testing.T) {
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("/metrics missing %q\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestQosdUncleanPathsNotFound: the daemon routes only its six exact
+// paths. Any other path, an unclean spelling of a route included, is
+// answered 404 and counted under no endpoint in /metrics.
+func TestQosdUncleanPathsNotFound(t *testing.T) {
+	d, _ := newTestDaemon(t, nil)
+	h := d.Handler()
+	for _, target := range []string{"//v1/decide", "/v1/admit/", "/v1/./capacity", "/v1/../healthz", "/metrics/", "/", "/v1"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(`{"items":[]}`)))
+			if rec.Code != http.StatusNotFound || rec.Body.String() != "404 page not found\n" {
+				t.Errorf("%s %s: HTTP %d: %q", method, target, rec.Code, rec.Body)
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if strings.Contains(rec.Body.String(), "qosd_http_requests_total") {
+		t.Fatalf("/metrics counted a request to an unknown path:\n%s", rec.Body)
+	}
+	for _, name := range endpointNames {
+		if want := fmt.Sprintf("qosd_http_request_duration_seconds_count{endpoint=%q} 0\n", name); !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 }
