@@ -741,12 +741,12 @@ func (g *Grant) Revoked() bool {
 	return g.revoked
 }
 
-// CycleDelay returns Nominal − Share: the elapsed-time handicap to
-// charge the stream's controller at cycle start (see the package
-// comment). It implements session.BudgetSource and renews the liveness
-// lease. A released or revoked grant yields the full Nominal handicap
-// (the stream holds no share); use LeaseDelay to observe revocation as
-// an error.
+// CycleDelay is LeaseDelay without its error: a released or revoked
+// grant yields the full Nominal handicap (the stream holds no share).
+//
+// Deprecated: budgeted sessions read LeaseDelay; the benchmark module
+// (qosbench) is CycleDelay's last caller outside tests, and it goes
+// with the next change to that directory.
 //
 //qos:hotpath
 func (g *Grant) CycleDelay() core.Cycles {
@@ -754,11 +754,13 @@ func (g *Grant) CycleDelay() core.Cycles {
 	return d
 }
 
-// LeaseDelay is CycleDelay with liveness reporting: it renews the lease
-// and returns the cycle handicap, or ErrGrantRevoked once the grant was
-// revoked (or released). It takes the budget mutex only when a change
-// left the shares dirty. It implements session.LeasedBudgetSource, so a
-// budgeted session fails fast at its next Reset instead of serving on a
+// LeaseDelay returns Nominal − Share: the elapsed-time handicap to
+// charge the stream's controller at cycle start (see the package
+// comment). It renews the liveness lease, or returns the full Nominal
+// handicap and ErrGrantRevoked once the grant was revoked (or
+// released). It takes the budget mutex only when a change left the
+// shares dirty. It implements session.BudgetSource, so a budgeted
+// session fails fast at its next Reset instead of serving on a
 // reclaimed share.
 //
 //qos:hotpath

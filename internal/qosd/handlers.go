@@ -168,9 +168,17 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 		grants = append(grants, g)
 	}
 
+	// The batch's streams are built first and entered in the registry
+	// under one lock. Their sessions have no observer: each workload,
+	// st.cost, records the levels, so every cycle runs the observer-free
+	// loop.
 	resp := api.AdmitResponse{Streams: make([]api.StreamInfo, 0, n)}
-	for _, g := range grants {
-		st := d.register(m, g)
+	sts := make([]*stream, n)
+	for i, g := range grants {
+		st := &stream{id: d.nextID.Add(1), m: m, grant: g, sys: m.rt.System()}
+		st.workload = st.cost
+		st.sess = m.rt.AcquireBudgeted(g)
+		sts[i] = st
 		resp.Streams = append(resp.Streams, api.StreamInfo{
 			ID:       st.id,
 			Model:    m.name,
@@ -181,20 +189,12 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 			Actions:  m.nActions,
 		})
 	}
-	return writeOK(w, api.AppendAdmitResponse(nil, &resp))
-}
-
-// register binds a grant to a fresh session and enters it in the
-// stream registry. The session has no observer: its workload, st.cost,
-// records the levels, so every cycle runs the observer-free loop.
-func (d *Daemon) register(m *model, g *mixer.Grant) *stream {
-	st := &stream{id: d.nextID.Add(1), m: m, grant: g, sys: m.rt.System()}
-	st.workload = st.cost
-	st.sess = m.rt.AcquireBudgeted(g)
 	d.mu.Lock()
-	d.streams[st.id] = st
+	for _, st := range sts {
+		d.streams[st.id] = st
+	}
 	d.mu.Unlock()
-	return st
+	return writeOK(w, api.AppendAdmitResponse(nil, &resp))
 }
 
 // handleRelease releases one admitted stream and returns its share to
@@ -280,25 +280,12 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 	// bytes, so a batch of short items grows the buffer once, not step
 	// by step.
 	reply := append(slices.Grow(body[:0], len(req.Items)*128), `{"results":[`...)
-	// The items' controller statistics reach their model's totals once
-	// per run of items of one model, not once per item.
-	var m *model
-	var sum core.ControllerStats
 	for i, st := range sts {
-		if st != nil && st.m != m {
-			if m != nil {
-				m.ctrl.fold(&sum)
-			}
-			m, sum = st.m, core.ControllerStats{}
-		}
-		res := d.decideOne(&req.Items[i], st, levels, &sum)
+		res := d.decideOne(&req.Items[i], st, levels)
 		if i > 0 {
 			reply = append(reply, ',')
 		}
 		reply = api.AppendDecideResult(reply, &res)
-	}
-	if m != nil {
-		m.ctrl.fold(&sum)
 	}
 	reply = append(reply, "]}\n"...)
 	sc.body = reply
@@ -306,9 +293,8 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 }
 
 // decideOne runs one stream (nil if unknown) through one controlled
-// cycle, recording its levels in levels' backing array and adding its
-// controller statistics to sum.
-func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int, sum *core.ControllerStats) api.DecideResult {
+// cycle, recording its levels in levels' backing array.
+func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int) api.DecideResult {
 	out := api.DecideResult{Stream: item.Stream}
 	if st == nil {
 		out.Code = api.DecideUnknown
@@ -317,7 +303,7 @@ func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int, sum *
 	}
 
 	st.mu.Lock()
-	revoked := st.runCycle(item, levels, &out, sum)
+	revoked := st.runCycle(item, levels, &out)
 	if revoked {
 		d.teardownLocked(st)
 	}
@@ -332,11 +318,11 @@ func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int, sum *
 	return out
 }
 
-// runCycle executes one cycle under st.mu, filling out, appending the
-// chosen levels to levels and adding the cycle's controller statistics
-// to sum. It reports whether the stream's lease was revoked (caller
-// tears down and drops the registry entry).
-func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult, sum *core.ControllerStats) bool {
+// runCycle executes one cycle under st.mu, filling out and appending
+// the chosen levels to levels; the stream's session counts the cycle in
+// its runtime's totals. It reports whether the stream's lease was
+// revoked (caller tears down and drops the registry entry).
+func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult) bool {
 	if st.gone {
 		out.Code = api.DecideUnknown
 		out.Error = "stream released"
@@ -381,12 +367,6 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 		out.Error = err.Error()
 		return false
 	}
-
-	sum.Decisions += res.Stats.Decisions
-	sum.Fallbacks += res.Stats.Fallbacks
-	sum.LevelSum += res.Stats.LevelSum
-	sum.LevelChanges += res.Stats.LevelChanges
-	sum.CandidateEval += res.Stats.CandidateEval
 
 	out.Code = api.DecideOK
 	out.Levels = levels

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
 )
 
 // latencyBuckets are the per-endpoint request-duration histogram bounds
@@ -73,27 +71,6 @@ func (m *endpointMetrics) write(w io.Writer, name string) {
 	fmt.Fprintf(w, "qosd_http_request_duration_seconds_count{endpoint=%q} %d\n", name, m.count.Load())
 }
 
-// ctrlStats aggregates ControllerStats across every cycle the daemon
-// serves for one model. A decide request folds in the sum of its
-// items' per-cycle statistics (the controller's own counters reset with
-// the session), so the totals survive stream churn.
-type ctrlStats struct {
-	decisions     atomic.Int64
-	fallbacks     atomic.Int64
-	levelSum      atomic.Int64
-	levelChanges  atomic.Int64
-	candidateEval atomic.Int64
-}
-
-// fold adds a request's summed controller statistics to the totals.
-func (c *ctrlStats) fold(s *core.ControllerStats) {
-	c.decisions.Add(int64(s.Decisions))
-	c.fallbacks.Add(int64(s.Fallbacks))
-	c.levelSum.Add(s.LevelSum)
-	c.levelChanges.Add(int64(s.LevelChanges))
-	c.candidateEval.Add(int64(s.CandidateEval))
-}
-
 // handleMetrics renders the whole daemon in Prometheus text format:
 // process gauges, per-model runtime / mixer / controller aggregates,
 // and per-endpoint HTTP counters and latency histograms.
@@ -145,11 +122,13 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		fmt.Fprintf(w, "qosd_budget_revoked_total{model=%q} %d\n", name, bs.Revoked)
 		fmt.Fprintf(w, "qosd_budget_headroom_streams{model=%q} %d\n", name, m.budget.Headroom(m.spec))
 
-		fmt.Fprintf(w, "qosd_controller_decisions_total{model=%q} %d\n", name, m.ctrl.decisions.Load())
-		fmt.Fprintf(w, "qosd_controller_fallbacks_total{model=%q} %d\n", name, m.ctrl.fallbacks.Load())
-		fmt.Fprintf(w, "qosd_controller_level_sum_total{model=%q} %d\n", name, m.ctrl.levelSum.Load())
-		fmt.Fprintf(w, "qosd_controller_level_changes_total{model=%q} %d\n", name, m.ctrl.levelChanges.Load())
-		fmt.Fprintf(w, "qosd_controller_candidate_evals_total{model=%q} %d\n", name, m.ctrl.candidateEval.Load())
+		// Every served action is one controller decision: the
+		// controller series read the same snapshot as the model's.
+		fmt.Fprintf(w, "qosd_controller_decisions_total{model=%q} %d\n", name, rs.Actions)
+		fmt.Fprintf(w, "qosd_controller_fallbacks_total{model=%q} %d\n", name, rs.Fallbacks)
+		fmt.Fprintf(w, "qosd_controller_level_sum_total{model=%q} %d\n", name, rs.LevelSum)
+		fmt.Fprintf(w, "qosd_controller_level_changes_total{model=%q} %d\n", name, rs.LevelChanges)
+		fmt.Fprintf(w, "qosd_controller_candidate_evals_total{model=%q} %d\n", name, rs.CandidateEvals)
 	}
 
 	for i := range d.metrics {

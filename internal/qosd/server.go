@@ -68,8 +68,8 @@ type Config struct {
 	MaxBatch int
 }
 
-// model is one served .qos program: its runtime, its shared budget, and
-// its aggregate controller statistics.
+// model is one served .qos program: its runtime, which counts the
+// cycles served, and its shared budget.
 type model struct {
 	name     string
 	path     string
@@ -77,7 +77,6 @@ type model struct {
 	budget   *mixer.Budget
 	spec     mixer.StreamSpec
 	nActions int
-	ctrl     ctrlStats
 }
 
 // stream is one admitted remote stream. Its mutex serializes decides
@@ -95,10 +94,10 @@ type stream struct {
 	gone  bool // released or revoked; the registry entry may lag
 
 	// The running cycle's workload: workload is st.cost, bound once at
-	// register. It reads the item's costs (nil between cycles) or its
+	// admission. It reads the item's costs (nil between cycles) or its
 	// clamped synthetic load, and records each decided level's index in
 	// levels, the request's levels buffer. sys is the served system,
-	// cached at register so cost reads it directly.
+	// cached at admission so cost reads it directly.
 	workload func(core.ActionID, core.Level) core.Cycles
 	sys      *core.System
 	costs    []int64

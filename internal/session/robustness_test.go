@@ -9,21 +9,15 @@ import (
 	"repro/internal/core"
 )
 
-// fakeLease is a LeasedBudgetSource whose revocation the test flips.
+// fakeLease is a BudgetSource whose revocation the test flips.
 type fakeLease struct {
 	delay    core.Cycles
 	err      error
 	released int
 }
 
-func (f *fakeLease) CycleDelay() core.Cycles { return f.delay }
-func (f *fakeLease) LeaseDelay() (core.Cycles, error) {
-	if f.err != nil {
-		return f.delay, f.err
-	}
-	return f.delay, nil
-}
-func (f *fakeLease) Release() { f.released++ }
+func (f *fakeLease) LeaseDelay() (core.Cycles, error) { return f.delay, f.err }
+func (f *fakeLease) Release()                         { f.released++ }
 
 var errRevokedTest = errors.New("test: grant revoked")
 
@@ -153,22 +147,4 @@ func TestLeasedSourceFailsFastOnRevocation(t *testing.T) {
 		t.Fatal("revocation must not quarantine the controller")
 	}
 	rt.Release(s)
-}
-
-// TestCycleDelayStillWorksForPlainSources pins the compatibility path:
-// a BudgetSource without LeaseDelay keeps the pre-lease behaviour.
-func TestCycleDelayStillWorksForPlainSources(t *testing.T) {
-	sys := demoSystem(t)
-	rt, err := NewRuntime(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rt.AcquireBudgeted(&fixedDelay{d: 10})
-	defer rt.Release(s)
-	if got := s.Elapsed(); got != 10 {
-		t.Fatalf("plain BudgetSource handicap not applied: elapsed %v", got)
-	}
-	if s.Err() != nil {
-		t.Fatalf("plain source produced terminal error %v", s.Err())
-	}
 }

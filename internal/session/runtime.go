@@ -14,12 +14,13 @@ import (
 // each concurrent stream gets its own cheap Session whose controller
 // instance is recycled through a sync.Pool.
 //
-// Acquire/Release (or the one-shot RunCycle) are safe to call from any
-// number of goroutines; each Session itself stays single-stream.
+// Acquire/Release (and RunCycle, which pairs them around one cycle)
+// are safe to call from any number of goroutines; each Session itself
+// stays single-stream.
 //
 // Each acquired session counts the cycles it serves in counters of its
 // own, so two streams' cycles write no shared counter. Stats sums the
-// live sessions, the released ones and RunCycle's.
+// live sessions and the released ones.
 type Runtime struct {
 	prog *core.Program
 	pool sync.Pool
@@ -33,28 +34,34 @@ type Runtime struct {
 	mu      sync.Mutex
 	live    []*tally
 	retired RuntimeStats
-
-	// RunCycle's one-shot sessions are never in live: they count their
-	// cycles straight into oneShot, and oneShots counts those in flight.
-	oneShot  tally
-	oneShots atomic.Int64
 }
 
-// tally counts the cycles one session serves (or, for a runtime's
-// oneShot, every RunCycle). The counters are atomics so that Stats can
-// read them while the stream serves; slot is the session's index in
-// the runtime's live registry, guarded by the runtime's mu.
+// tally counts the cycles one session serves and their controller
+// totals. The counters are atomics so that Stats can read them while
+// the stream serves; slot is the session's index in the runtime's live
+// registry, guarded by the runtime's mu.
 type tally struct {
-	cycles, actions, fallbacks, misses atomic.Int64
-	slot                               int
+	cycles, actions, fallbacks, misses     atomic.Int64
+	levelSum, levelChanges, candidateEvals atomic.Int64
+	slot                                   int
 }
 
-// add counts one finished cycle.
+// add counts one finished cycle. Its controller statistics are those
+// since the session's last boundary (acquire or Reset): the cycle's
+// own, unless Next ran part of it before Run. A healthy cycle has no
+// fallback and no miss, so it pays no locked add for either.
 func (t *tally) add(res *core.CycleResult) {
 	t.cycles.Add(1)
 	t.actions.Add(int64(res.Steps))
-	t.fallbacks.Add(int64(res.Fallbacks))
-	t.misses.Add(int64(res.Misses))
+	if res.Fallbacks != 0 {
+		t.fallbacks.Add(int64(res.Fallbacks))
+	}
+	if res.Misses != 0 {
+		t.misses.Add(int64(res.Misses))
+	}
+	t.levelSum.Add(res.Stats.LevelSum)
+	t.levelChanges.Add(int64(res.Stats.LevelChanges))
+	t.candidateEvals.Add(int64(res.Stats.CandidateEval))
 }
 
 // addTo adds the counters into a stats snapshot.
@@ -63,10 +70,12 @@ func (t *tally) addTo(st *RuntimeStats) {
 	st.Actions += t.actions.Load()
 	st.Fallbacks += t.fallbacks.Load()
 	st.Misses += t.misses.Load()
+	st.LevelSum += t.levelSum.Load()
+	st.LevelChanges += t.levelChanges.Load()
+	st.CandidateEvals += t.candidateEvals.Load()
 }
 
-// tallied is an acquired session and its tally, in one allocation: a
-// one-shot session carries no tally of its own.
+// tallied is an acquired session and its tally, in one allocation.
 type tallied struct {
 	s Session
 	t tally
@@ -97,20 +106,13 @@ func (r *Runtime) System() *core.System { return r.prog.System() }
 
 // BudgetSource yields the elapsed-time handicap a budgeted stream must
 // charge its controller at every cycle start — the CPU cycles the other
-// streams sharing the budget consume per period. mixer.Grant implements
-// it; so does any fixed or adaptive share scheme.
+// streams sharing the budget consume per period. LeaseDelay returns it
+// and renews the stream's liveness lease, or returns an error once the
+// share is revoked (a leased mixer.Grant reaped for liveness): the
+// session then fails fast instead of serving on a reclaimed share.
+// mixer.Grant implements it; a share that cannot be revoked never
+// returns an error.
 type BudgetSource interface {
-	CycleDelay() core.Cycles
-}
-
-// LeasedBudgetSource is a BudgetSource whose share can be revoked out
-// from under the stream — a leased mixer.Grant reaped for liveness.
-// LeaseDelay returns the same handicap as CycleDelay (and renews the
-// liveness lease), or an error once the grant is gone; a budgeted
-// session consults it at every cycle boundary and fails fast on
-// revocation instead of serving on a reclaimed share.
-type LeasedBudgetSource interface {
-	BudgetSource
 	LeaseDelay() (core.Cycles, error)
 }
 
@@ -121,7 +123,16 @@ type LeasedBudgetSource interface {
 // the whole runtime at NewRuntime.
 func (r *Runtime) Acquire(obs ...Observer) *Session {
 	h := new(tallied)
-	r.bind(&h.s, obs)
+	if v := r.pool.Get(); v != nil {
+		h.s.ctrl = v.(*core.Controller)
+		h.s.ctrl.Reset()
+	} else {
+		// Fresh instances come out of NewController already at a
+		// cycle boundary; no second reset needed.
+		h.s.ctrl = r.prog.NewController()
+	}
+	h.s.obs = obs
+	h.s.owner.Store(r)
 	h.s.tally = &h.t
 	r.mu.Lock()
 	h.t.slot = len(r.live)
@@ -130,48 +141,21 @@ func (r *Runtime) Acquire(obs ...Observer) *Session {
 	return &h.s
 }
 
-// bind gives s a pooled (or fresh) controller instance, its observers
-// and r as its owner.
-func (r *Runtime) bind(s *Session, obs []Observer) {
-	if v := r.pool.Get(); v != nil {
-		s.ctrl = v.(*core.Controller)
-		s.ctrl.Reset()
-	} else {
-		// Fresh instances come out of NewController already at a
-		// cycle boundary; no second reset needed.
-		s.ctrl = r.prog.NewController()
-	}
-	s.obs = obs
-	s.owner.Store(r)
-}
-
 // AcquireBudgeted hands out a Session whose cycles run under a shared
 // budget share: at every cycle boundary (including this acquire) the
-// session charges src.CycleDelay() to its controller, so admissibility
-// sees only the stream's share of the period. Typical use is an
-// admitted mixer.Grant:
+// session charges src.LeaseDelay() to its controller, so admissibility
+// sees only the stream's share of the period, and a revoked share makes
+// the session terminal. Typical use is an admitted mixer.Grant:
 //
 //	g, err := budget.Admit(spec)
 //	s := rt.AcquireBudgeted(g)
 //	defer func() { rt.Release(s); g.Release() }()
 func (r *Runtime) AcquireBudgeted(src BudgetSource, obs ...Observer) *Session {
 	s := r.Acquire(obs...)
-	// Pay the leased-source type assertion once here, not per cycle.
-	l, ok := src.(LeasedBudgetSource)
-	if !ok {
-		l = unleased{src}
-	}
-	s.budget = l
+	s.budget = src
 	s.applyBudget()
 	return s
 }
-
-// unleased adapts a BudgetSource that cannot be revoked: its lease
-// never ends.
-type unleased struct{ BudgetSource }
-
-// LeaseDelay implements LeasedBudgetSource.
-func (u unleased) LeaseDelay() (core.Cycles, error) { return u.CycleDelay(), nil }
 
 // Release returns the session's controller instance to the pool. The
 // session must not be used afterwards. Release is safe against misuse
@@ -183,17 +167,14 @@ func (r *Runtime) Release(s *Session) {
 	if s == nil || !s.owner.CompareAndSwap(r, nil) {
 		return
 	}
-	if t := s.tally; t != &r.oneShot {
-		r.mu.Lock()
-		last := r.live[len(r.live)-1]
-		r.live[t.slot], last.slot = last, t.slot
-		r.live[len(r.live)-1] = nil
-		r.live = r.live[:len(r.live)-1]
-		t.addTo(&r.retired)
-		r.mu.Unlock()
-	} else {
-		r.oneShots.Add(-1)
-	}
+	t := s.tally
+	r.mu.Lock()
+	last := r.live[len(r.live)-1]
+	r.live[t.slot], last.slot = last, t.slot
+	r.live[len(r.live)-1] = nil
+	r.live = r.live[:len(r.live)-1]
+	t.addTo(&r.retired)
+	r.mu.Unlock()
 	ctrl := s.ctrl
 	s.ctrl = nil
 	s.budget = nil
@@ -208,15 +189,9 @@ func (r *Runtime) Release(s *Session) {
 }
 
 // RunCycle serves one full cycle of one stream: acquire, run the
-// workload, release. This is the common fast path for stateless
-// callers. Its one-shot session stays out of the live registry, whose
-// lock it would otherwise pay every cycle, and counts its cycle
-// straight into the runtime's one-shot totals.
+// workload, release.
 func (r *Runtime) RunCycle(w platform.Workload, obs ...Observer) (core.CycleResult, error) {
-	s := new(Session)
-	r.bind(s, obs)
-	s.tally = &r.oneShot
-	r.oneShots.Add(1)
+	s := r.Acquire(obs...)
 	defer r.Release(s)
 	return s.Run(w)
 }
@@ -229,7 +204,14 @@ type RuntimeStats struct {
 	// actions across all streams.
 	Cycles, Actions int64
 	// Fallbacks, Misses aggregate the corresponding per-cycle counts.
+	// Every counted action is one controller decision, so Actions and
+	// Fallbacks are also the served cycles' decision and decision
+	// fallback totals.
 	Fallbacks, Misses int64
+	// LevelSum, LevelChanges, CandidateEvals aggregate the served
+	// cycles' core.ControllerStats fields of those names (LevelSum /
+	// Actions is the mean level index of every decision served).
+	LevelSum, LevelChanges, CandidateEvals int64
 	// Quarantined counts controllers poisoned by workload panics
 	// (Session.Run recovered, quarantined the instance, and refused to
 	// pool it again).
@@ -246,8 +228,6 @@ func (r *Runtime) Stats() RuntimeStats {
 		t.addTo(&st)
 	}
 	r.mu.Unlock()
-	r.oneShot.addTo(&st)
-	st.ActiveSessions += r.oneShots.Load()
 	st.Quarantined = r.quarantined.Load()
 	return st
 }

@@ -131,7 +131,7 @@ func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				fresh := rt.Program().NewController()
-				fresh.Preempt(src.CycleDelay())
+				fresh.Preempt(src.d)
 				want, err := fresh.RunFunc(costs(seed))
 				if err != nil {
 					t.Fatal(err)
@@ -283,10 +283,10 @@ type fixedDelay struct {
 	d  core.Cycles
 }
 
-func (f *fixedDelay) CycleDelay() core.Cycles {
+func (f *fixedDelay) LeaseDelay() (core.Cycles, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.d
+	return f.d, nil
 }
 
 func (f *fixedDelay) set(d core.Cycles) {
@@ -417,18 +417,30 @@ func TestRuntimeConcurrentDoubleRelease(t *testing.T) {
 }
 
 // TestRuntimeStatsExactWhileHeld checks the served totals while
-// sessions are still held: each acquired session counts its own cycles,
-// Release folds them into the retired totals, and RunCycle's one-shot
-// sessions count straight into them. A concurrent reader must never see
-// a total go backwards (a cycle dropped or counted twice by a fold), and
-// a snapshot taken with no stream running is exact.
+// sessions are still held: each acquired session counts its own cycles
+// and their controller statistics, Release folds them into the retired
+// totals, and RunCycle's session, acquired and released around its
+// cycle, is folded in the same way. A concurrent reader must never see
+// a total go backwards (a cycle dropped or counted twice by a fold),
+// and a snapshot taken with no stream running is exact: its controller
+// totals equal the sums of every served cycle's core.ControllerStats,
+// whose decisions are its actions.
 func TestRuntimeStatsExactWhileHeld(t *testing.T) {
 	sys := demoSystem(t)
 	rt, err := NewRuntime(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := func(a core.ActionID, q core.Level) core.Cycles { return sys.Cav.At(q, a) }
+	// Every third cycle's first action overruns its contract, so the
+	// cycles decide at more than one level and fall back.
+	work := func(c int) func(core.ActionID, core.Level) core.Cycles {
+		return func(a core.ActionID, q core.Level) core.Cycles {
+			if c%3 == 0 && a == 0 {
+				return 95
+			}
+			return sys.Cav.At(q, a)
+		}
+	}
 	const streams, cycles = 6, 100
 	held := make([]*Session, streams)
 	stop := make(chan struct{})
@@ -444,29 +456,44 @@ func TestRuntimeStatsExactWhileHeld(t *testing.T) {
 			default:
 			}
 			st := rt.Stats()
-			if st.Cycles < last.Cycles || st.Actions < last.Actions {
+			if st.Cycles < last.Cycles || st.Actions < last.Actions || st.Fallbacks < last.Fallbacks ||
+				st.LevelSum < last.LevelSum || st.LevelChanges < last.LevelChanges ||
+				st.CandidateEvals < last.CandidateEvals {
 				t.Errorf("stats went from %+v to %+v", last, st)
 				return
 			}
 			last = st
 		}
 	}()
+	// sums[g] adds up worker g's cycles' controller statistics.
+	sums := make([]core.ControllerStats, streams)
 	var wg sync.WaitGroup
 	for g := 0; g < streams; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			count := func(res core.CycleResult) {
+				sum := &sums[g]
+				sum.Decisions += res.Stats.Decisions
+				sum.Fallbacks += res.Stats.Fallbacks
+				sum.LevelSum += res.Stats.LevelSum
+				sum.LevelChanges += res.Stats.LevelChanges
+				sum.CandidateEval += res.Stats.CandidateEval
+			}
 			s := rt.Acquire()
 			for c := 0; c < cycles; c++ {
 				s.Reset()
-				if _, err := s.RunFunc(work); err != nil {
+				res, err := s.RunFunc(work(c))
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := rt.RunCycle(platform.WorkloadFunc(work)); err != nil {
+				count(res)
+				if res, err = rt.RunCycle(platform.WorkloadFunc(work(c))); err != nil {
 					t.Error(err)
 					return
 				}
+				count(res)
 			}
 			if g%2 == 0 {
 				rt.Release(s) // folded into the retired totals
@@ -484,6 +511,21 @@ func TestRuntimeStatsExactWhileHeld(t *testing.T) {
 	}
 	if st.ActiveSessions != streams/2 {
 		t.Fatalf("active sessions %d, want %d", st.ActiveSessions, streams/2)
+	}
+	var want core.ControllerStats
+	for _, sum := range sums {
+		want.Decisions += sum.Decisions
+		want.Fallbacks += sum.Fallbacks
+		want.LevelSum += sum.LevelSum
+		want.LevelChanges += sum.LevelChanges
+		want.CandidateEval += sum.CandidateEval
+	}
+	if want.Fallbacks == 0 || want.LevelChanges == 0 {
+		t.Fatalf("the cycles neither fell back nor changed level: %+v", want)
+	}
+	if got := (core.ControllerStats{Decisions: int(st.Actions), Fallbacks: int(st.Fallbacks), LevelSum: st.LevelSum,
+		LevelChanges: int(st.LevelChanges), CandidateEval: int(st.CandidateEvals)}); got != want {
+		t.Fatalf("controller totals %+v, want the cycles' sum %+v", got, want)
 	}
 	for _, s := range held {
 		rt.Release(s)
@@ -509,8 +551,8 @@ func BenchmarkRuntimeAcquireRelease(b *testing.B) {
 	})
 }
 
-// BenchmarkRuntimeRunCycle measures the stateless path, one one-shot
-// cycle per op, from GOMAXPROCS goroutines at once.
+// BenchmarkRuntimeRunCycle measures the stateless path, one RunCycle
+// (acquire, cycle, release) per op, from GOMAXPROCS goroutines at once.
 func BenchmarkRuntimeRunCycle(b *testing.B) {
 	sys := demoSystem(b)
 	rt, err := NewRuntime(sys)

@@ -148,10 +148,9 @@ type Session struct {
 
 	// budget, when non-nil, charges the stream's shared-budget handicap
 	// (LeaseDelay) to the controller at every cycle start — see
-	// Runtime.AcquireBudgeted, which wraps a source that cannot be
-	// revoked in unleased. A revoked grant fails the session fast
+	// Runtime.AcquireBudgeted. A revoked grant fails the session fast
 	// instead of serving on a reclaimed share.
-	budget LeasedBudgetSource
+	budget BudgetSource
 	// termErr latches the session's terminal error — a revoked lease
 	// (surfaced at Reset) or a workload panic. Once set, Next and Run
 	// refuse to serve; Err exposes it.
@@ -163,8 +162,7 @@ type Session struct {
 	// release, and reject sessions owned by a different runtime.
 	owner atomic.Pointer[Runtime]
 	// tally is where Run counts the cycles it serves: the session's own
-	// when acquired from a Runtime, the runtime's one-shot tally for
-	// RunCycle's session, nil for a stand-alone session.
+	// when acquired from a Runtime, nil for a stand-alone session.
 	tally *tally
 }
 
@@ -356,11 +354,7 @@ func (s *Session) quarantine(cause any) error {
 	if rt := s.owner.Load(); rt != nil {
 		rt.quarantined.Add(1)
 	}
-	var src any = s.budget
-	if u, ok := src.(unleased); ok {
-		src = u.BudgetSource
-	}
-	if rel, ok := src.(interface{ Release() }); ok {
+	if rel, ok := s.budget.(interface{ Release() }); ok {
 		rel.Release()
 	}
 	return fmt.Errorf("%w: %v", ErrWorkloadPanic, cause)

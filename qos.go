@@ -197,14 +197,12 @@ type (
 	SharePolicy = mixer.Policy
 	// SharedBudgetStats is a snapshot of a SharedBudget.
 	SharedBudgetStats = mixer.Stats
-	// BudgetSource yields a budgeted session's per-cycle handicap;
-	// StreamGrant implements it.
+	// BudgetSource yields a budgeted session's per-cycle handicap
+	// (LeaseDelay), or an error once its share is revoked out from
+	// under the stream (lease expiry, SetTotal shrink); StreamGrant
+	// implements it and budgeted sessions fail fast on revocation at
+	// the next Reset.
 	BudgetSource = session.BudgetSource
-	// LeasedBudgetSource is a BudgetSource whose share can be revoked
-	// out from under the stream (lease expiry, SetTotal shrink);
-	// StreamGrant implements it and budgeted sessions fail fast on
-	// revocation at the next Reset.
-	LeasedBudgetSource = session.LeasedBudgetSource
 )
 
 // Share policies.
