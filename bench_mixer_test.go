@@ -77,9 +77,9 @@ func (m *mixerBench) release() {
 }
 
 // serve runs every stream concurrently for `periods` cycles each over
-// pooled budgeted sessions and returns the aggregate mean level. The
-// workload respects the execution contract (C ≤ Cwc_θ), so Hard mode
-// must finish with zero deadline misses.
+// budgeted sessions of one runtime and returns the aggregate mean
+// level. The workload respects the execution contract (C ≤ Cwc_θ), so
+// Hard mode must finish with zero deadline misses.
 func (m *mixerBench) serve(tb testing.TB, periods int) float64 {
 	var wg sync.WaitGroup
 	levelSums := make([]float64, len(m.grants))
@@ -120,7 +120,7 @@ func (m *mixerBench) serve(tb testing.TB, periods int) float64 {
 	return sum / float64(len(m.grants)*periods)
 }
 
-// BenchmarkMixerSharedBudget serves 8/16/32 pooled streams under one
+// BenchmarkMixerSharedBudget serves 8/16/32 budgeted streams under one
 // shared budget in Hard mode. ns/op is one period: every stream runs
 // one full 72-action cycle. Zero deadline misses is part of the
 // contract, not just a metric.

@@ -31,7 +31,7 @@ func setupBudget(spec mixer.StreamSpec) core.Cycles {
 
 // admitFleet makes a Fair leased budget for the fleet and admits and
 // binds every stream of it. The fleet is dropped, not released: each
-// call starts from a fresh runtime, whose session pool is empty.
+// call starts from a fresh runtime.
 func admitFleet(b *testing.B, rt *session.Runtime, spec mixer.StreamSpec) {
 	budget, err := mixer.New(setupBudget(spec), mixer.Fair)
 	if err != nil {

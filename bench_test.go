@@ -33,7 +33,7 @@ import (
 // path: one shared System (the 8-macroblock MPEG body model, 72 actions
 // per cycle) served to GOMAXPROCS concurrent streams through one
 // Runtime. ns/op is per served cycle; with the precomputed tables
-// shared and controller instances pooled, cycles/sec scales linearly
+// shared and one session per stream, cycles/sec scales linearly
 // with GOMAXPROCS (compare runs under -cpu 1,2,4,8).
 func BenchmarkRuntimeConcurrentStreams(b *testing.B) {
 	bld, err := qos.LoadModel(filepath.Join("examples", "models", "mpeg_body.qos"))

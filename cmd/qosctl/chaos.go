@@ -5,7 +5,7 @@
 // robustness invariant is violated: a healthy hard-mode stream missed
 // a deadline, Σ granted shares exceeded the total after a rebalance,
 // a stalled stream's grant was not reclaimed, or a quarantined
-// controller re-entered a pool.
+// controller was handed out again.
 package main
 
 import (
@@ -245,13 +245,13 @@ func chaos(cfg cliConfig, out io.Writer) error {
 		violatef("healthy hard streams recorded %d misses, want 0", healthyHardMisses)
 	}
 
-	// Pool hygiene: no quarantined controller may be handed out again.
+	// No quarantined controller may be handed out again.
 	for _, rt := range []*qos.Runtime{hardRT, softRT} {
 		var held []*qos.Session
 		for n := 0; n < 2*streams; n++ {
 			s := rt.Acquire()
 			if quarantined[s.Controller()] {
-				violatef("quarantined controller re-entered the pool")
+				violatef("quarantined controller handed out again")
 			}
 			held = append(held, s)
 		}

@@ -12,8 +12,8 @@
 //     one stream stalls (its lease expires and the reaper reclaims the
 //     share; the stream fails fast with ErrGrantRevoked when it wakes)
 //     and one stream's workload panics (the session recovers, returns
-//     the grant, and quarantines its controller so the pool never
-//     hands it out again).
+//     the grant, and quarantines its controller so no stream is
+//     served on it again).
 //
 // Run from the repository root:
 //
@@ -159,7 +159,7 @@ func main() {
 
 	// The panicker: stream 1's workload dies mid-cycle. The session
 	// recovers, releases the grant back to the budget, and quarantines
-	// the controller — the pool will never serve it again.
+	// the controller — no stream will be served on it again.
 	panicker := rt.AcquireBudgeted(grants[1])
 	_, perr := panicker.RunFunc(func(qos.ActionID, qos.Level) qos.Cycles {
 		panic("decoder hit a corrupt macroblock")

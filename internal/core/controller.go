@@ -190,12 +190,21 @@ func (p *Program) Schedule() []ActionID { return append([]ActionID(nil), p.alpha
 // shared precomputed program. The allocation is O(|A|); everything
 // expensive (validation, EDF schedule, tables) is shared.
 func (p *Program) NewController() *Controller {
-	c := &Controller{prog: p}
+	c := new(Controller)
+	p.InitController(c)
+	return c
+}
+
+// InitController makes *c a fresh controller over p, at a cycle
+// boundary, whatever it held before. It is NewController in the
+// caller's memory: a caller that keeps a Controller by value beside its
+// own per-stream state allocates only θ here, O(|A|).
+func (p *Program) InitController(c *Controller) {
+	*c = Controller{prog: p}
 	// θ is filled with qmin once, here; resetOver leaves it alone (see
 	// there for why no cycle reads a stale entry).
 	c.theta = NewAssignment(p.sys.Graph.Len(), p.sys.QMin())
 	c.resetOver(p)
-	return c
 }
 
 // Controller incrementally computes a schedule α and quality assignment θ
@@ -222,9 +231,9 @@ type Controller struct {
 	last  int // level *index* of the previous sustained decision; -1 = none
 	stats ControllerStats
 	// quarantined marks a controller whose workload panicked mid-cycle:
-	// its mutable state may be arbitrarily corrupted, so pools must
-	// refuse it. Deliberately NOT cleared by Reset — quarantine is
-	// permanent for the instance (see Quarantine).
+	// its mutable state may be arbitrarily corrupted, so no stream may
+	// be served on it again. Deliberately NOT cleared by Reset —
+	// quarantine is permanent for the instance (see Quarantine).
 	quarantined bool
 	// _ pads the struct to 192 bytes, three 64-byte cache lines.
 	// Controllers of concurrent streams sit side by side in the heap
@@ -352,8 +361,8 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 // Quarantine permanently marks the controller as poisoned: a workload
 // panicked mid-cycle, so the instance's mutable state (position, time,
 // schedule suffix) may be arbitrarily corrupted. Reset deliberately does
-// NOT clear the mark — a quarantined controller must never be pooled or
-// reused for another stream (session.Runtime refuses to pool it).
+// NOT clear the mark — a quarantined controller must never be reused
+// for another stream (session.Runtime builds every stream a fresh one).
 func (c *Controller) Quarantine() { c.quarantined = true }
 
 // Quarantined reports whether Quarantine was ever called on this

@@ -88,8 +88,8 @@ func TestProgramDirectPathIsolation(t *testing.T) {
 	}
 }
 
-// TestControllerResetRestoresSchedule verifies that pooled reuse after
-// Reset is indistinguishable from a fresh instance on the direct path.
+// TestControllerResetRestoresSchedule verifies that reuse after Reset is
+// indistinguishable from a fresh instance on the direct path.
 func TestControllerResetRestoresSchedule(t *testing.T) {
 	sys := tinySystem(t)
 	prog, err := NewProgram(sys, WithTables(false))

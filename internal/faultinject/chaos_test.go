@@ -2,7 +2,7 @@
 // injected fault mix and assert the paper's invariant survives — zero
 // deadline misses for healthy hard-mode streams, every revoked share
 // reclaimed (Σ shares ≤ total after each Rebalance), and no controller
-// from a panicked session ever re-entering a pool. CI soaks this with
+// from a panicked session ever handed out again. CI soaks this with
 // -race -count=3 over the fixed seed matrix below.
 package faultinject_test
 
@@ -261,14 +261,14 @@ func runChaos(t *testing.T, seed uint64) {
 		t.Errorf("committed %v after reclaim, want %v", bst.Committed, want)
 	}
 
-	// Pool hygiene: no quarantined controller may ever be handed out
-	// again by either runtime.
+	// No quarantined controller is ever handed out again by either
+	// runtime.
 	for _, rt := range []*session.Runtime{hardRT, softRT} {
 		var out []*session.Session
 		for n := 0; n < 2*chaosStreams; n++ {
 			s := rt.Acquire()
 			if quarantinedCtrls[s.Controller()] {
-				t.Fatal("quarantined controller re-entered the pool")
+				t.Fatal("quarantined controller handed out again")
 			}
 			out = append(out, s)
 		}

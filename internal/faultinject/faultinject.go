@@ -13,7 +13,7 @@
 // nothing. The chaos tests layered on top assert the paper's invariant
 // under fault load: healthy hard-mode streams never miss, revoked
 // shares are reclaimed (Σ shares ≤ total after every Rebalance), and
-// poisoned controllers never re-enter a pool.
+// poisoned controllers are never handed out again.
 package faultinject
 
 import (

@@ -176,7 +176,6 @@ func (d *Daemon) handleAdmit(w http.ResponseWriter, r *http.Request) int {
 	sts := make([]*stream, n)
 	for i, g := range grants {
 		st := &stream{id: d.nextID.Add(1), m: m, grant: g, sys: m.rt.System()}
-		st.workload = st.cost
 		st.sess = m.rt.AcquireBudgeted(g)
 		sts[i] = st
 		resp.Streams = append(resp.Streams, api.StreamInfo{
@@ -211,6 +210,8 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 	st, ok := d.streams[req.Stream]
 	if ok {
 		delete(d.streams, req.Stream)
+	} else if st, ok = d.reaped[req.Stream]; ok {
+		delete(d.reaped, req.Stream)
 	}
 	d.mu.Unlock()
 	if !ok {
@@ -262,14 +263,19 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 	// maxActions at most, and its result is appended before the next
 	// item runs.
 	levels := sc.levels[:0]
-	// One registry lock resolves the whole batch. A stream released
-	// after it is resolved stays unserved: runCycle checks st.gone
-	// under st.mu. A batch of up to 32 items resolves into the stack.
+	// One registry lock resolves the whole batch, tombstones included.
+	// A stream released after it is resolved stays unserved: runCycle
+	// checks st.gone under st.mu. A batch of up to 32 items resolves
+	// into the stack.
 	var small [32]*stream
 	sts := small[:0]
 	d.mu.Lock()
 	for i := range req.Items {
-		sts = append(sts, d.streams[req.Items[i].Stream])
+		st := d.streams[req.Items[i].Stream]
+		if st == nil {
+			st = d.reaped[req.Items[i].Stream]
+		}
+		sts = append(sts, st)
 	}
 	d.mu.Unlock()
 	// Nothing decoded points into body, so its buffer carries the
@@ -313,6 +319,7 @@ func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int) api.D
 		// order is Daemon.mu → stream.mu, never the reverse.
 		d.mu.Lock()
 		delete(d.streams, st.id)
+		delete(d.reaped, st.id)
 		d.mu.Unlock()
 	}
 	return out
@@ -323,6 +330,13 @@ func (d *Daemon) decideOne(item *api.DecideItem, st *stream, levels []int) api.D
 // its runtime's totals. It reports whether the stream's lease was
 // revoked (caller tears down and drops the registry entry).
 func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideResult) bool {
+	if st.reaped {
+		// A tombstone answers once, with the session's own revocation.
+		st.reaped = false
+		out.Code = api.DecideRevoked
+		out.Error = mixer.ErrGrantRevoked.Error()
+		return true
+	}
 	if st.gone {
 		out.Code = api.DecideUnknown
 		out.Error = "stream released"
@@ -353,7 +367,7 @@ func (st *stream) runCycle(item *api.DecideItem, levels []int, out *api.DecideRe
 	}
 
 	st.costs, st.load, st.levels = item.Costs, min(max(item.Load, 0), 1), levels
-	res, err := st.sess.RunFunc(st.workload)
+	res, err := st.sess.RunFunc(st.cost)
 	levels = st.levels
 	// The request's costs and levels buffer do not outlive it.
 	st.costs, st.levels = nil, nil

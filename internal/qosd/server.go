@@ -89,20 +89,22 @@ type stream struct {
 	m  *model
 
 	mu    sync.Mutex
-	sess  *session.Session
+	sess  *session.Session // nil once gone
 	grant *mixer.Grant
 	gone  bool // released or revoked; the registry entry may lag
+	// reaped marks a tombstone: the reaper revoked the stream and tore
+	// it down, and its client has not yet been told (see reapRevoked).
+	reaped bool
 
-	// The running cycle's workload: workload is st.cost, bound once at
-	// admission. It reads the item's costs (nil between cycles) or its
-	// clamped synthetic load, and records each decided level's index in
-	// levels, the request's levels buffer. sys is the served system,
-	// cached at admission so cost reads it directly.
-	workload func(core.ActionID, core.Level) core.Cycles
-	sys      *core.System
-	costs    []int64
-	load     float64
-	levels   []int
+	// The running cycle's workload state, read by st.cost: the item's
+	// costs (nil between cycles) or its clamped synthetic load, and
+	// levels, the request's levels buffer, where cost records each
+	// decided level's index. sys is the served system, cached at
+	// admission so cost reads it directly.
+	sys    *core.System
+	costs  []int64
+	load   float64
+	levels []int
 }
 
 // Daemon is the qosd server core. Build one with New, mount Handler on
@@ -121,6 +123,10 @@ type Daemon struct {
 
 	mu      sync.Mutex
 	streams map[uint64]*stream
+	// reaped holds the tombstones of streams the reaper revoked and tore
+	// down: each stays until its client's next decide or release, which
+	// is answered as if the stream were still registered.
+	reaped map[uint64]*stream
 
 	// scratch pools the buffers of /v1/decide requests
 	// (*decideScratch): see getScratch and putScratch.
@@ -191,6 +197,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:        cfg,
 		models:     make(map[string]*model, len(cfg.Models)),
 		streams:    make(map[uint64]*stream),
+		reaped:     make(map[uint64]*stream),
 		reaperStop: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 		start:      time.Now(),
@@ -270,8 +277,9 @@ func (d *Daemon) lookup(name string) (*model, error) {
 }
 
 // StartReaper launches the reaper goroutine, which advances every
-// model's lease epoch on the configured interval; without it leases
-// never expire and silent clients hold capacity forever. Idempotent:
+// model's lease epoch on the configured interval and tears down the
+// streams it revokes; without it leases never expire and silent
+// clients hold capacity forever. Idempotent:
 // only the first call spawns. The goroutine runs until StopReaper (or
 // Drain, which calls it) signals and joins it.
 func (d *Daemon) StartReaper() {
@@ -281,7 +289,7 @@ func (d *Daemon) StartReaper() {
 	go d.reap()
 }
 
-// reap is the reaper goroutine body: tick, rebalance, until the stop
+// reap is the reaper goroutine body: an epoch per tick, until the stop
 // channel closes. Closing reaperDone on the way out is the join signal
 // StopReaper blocks on.
 func (d *Daemon) reap() {
@@ -293,10 +301,45 @@ func (d *Daemon) reap() {
 		case <-d.reaperStop:
 			return
 		case <-t.C:
-			for _, name := range d.order {
-				d.models[name].budget.Rebalance()
-			}
+			d.epoch()
 		}
+	}
+}
+
+// epoch is one reaper tick: it rebalances each model's budget, which
+// advances the lease epoch and revokes the grants of silent streams,
+// and then reaps those streams.
+func (d *Daemon) epoch() {
+	for _, name := range d.order {
+		m := d.models[name]
+		m.budget.Rebalance()
+		d.reapRevoked(m)
+	}
+}
+
+// reapRevoked tears down every registered stream of m whose grant is
+// revoked, so its session goes back to the runtime now, not at its
+// client's next request. Each leaves a tombstone in d.reaped: the
+// client's next decide still gets the 410 it would have got from the
+// session, and then the tombstone goes.
+func (d *Daemon) reapRevoked(m *model) {
+	var gone []*stream
+	d.mu.Lock()
+	for id, st := range d.streams {
+		if st.m == m && st.grant.Revoked() {
+			delete(d.streams, id)
+			d.reaped[id] = st
+			gone = append(gone, st)
+		}
+	}
+	d.mu.Unlock()
+	for _, st := range gone {
+		st.mu.Lock()
+		if !st.gone {
+			d.teardownLocked(st)
+			st.reaped = true
+		}
+		st.mu.Unlock()
 	}
 }
 
@@ -326,6 +369,7 @@ func (d *Daemon) Drain() {
 		sts = append(sts, st)
 	}
 	d.streams = make(map[uint64]*stream)
+	d.reaped = make(map[uint64]*stream)
 	d.mu.Unlock()
 	for _, st := range sts {
 		st.mu.Lock() // waits for an in-flight decide on this stream
@@ -334,8 +378,8 @@ func (d *Daemon) Drain() {
 	}
 }
 
-// teardownLocked releases a stream's grant and returns its session to
-// the runtime pool. Caller holds st.mu.
+// teardownLocked releases a stream's grant and its session. Caller
+// holds st.mu.
 func (d *Daemon) teardownLocked(st *stream) {
 	if st.gone {
 		return
@@ -343,6 +387,7 @@ func (d *Daemon) teardownLocked(st *stream) {
 	st.gone = true
 	st.grant.Release()
 	st.m.rt.Release(st.sess)
+	st.sess = nil
 }
 
 // Handler returns the daemon's HTTP handler: the Daemon itself, so

@@ -760,6 +760,72 @@ func TestQosdLeaseRevocation(t *testing.T) {
 	}
 }
 
+// TestQosdReapReleasesRevokedSessions: an epoch that revokes a silent
+// stream's lease also tears the stream down, so its session leaves the
+// runtime and the stream leaves qosd_streams_active at once, not at its
+// client's next request. The client's next decide and release are
+// answered byte for byte as by a daemon whose epochs only rebalance,
+// which tears a revoked stream down when its client next decides.
+func TestQosdReapReleasesRevokedSessions(t *testing.T) {
+	boot := func() *Daemon {
+		cfg := churnConfig(t)
+		cfg.LeaseEpochs = 1
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Drain)
+		return d
+	}
+	serve := func(d *Daemon, method, target, body string) string {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+		return fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+	}
+	reaped, lazy := boot(), boot()
+	for _, d := range []*Daemon{reaped, lazy} {
+		if reply := serve(d, http.MethodPost, "/v1/admit", `{"streams":3}`); !strings.HasPrefix(reply, "200 ") {
+			t.Fatalf("admit: %s", reply)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		reaped.epoch()
+		lazy.models["mpeg_body"].budget.Rebalance()
+	}
+	m := reaped.models["mpeg_body"]
+	if bs := m.budget.Stats(); bs.Revoked != 3 {
+		t.Fatalf("revoked %d streams, want 3", bs.Revoked)
+	}
+	if n, active := len(reaped.streams), m.rt.Stats().ActiveSessions; n != 0 || active != 0 {
+		t.Fatalf("after the reaping epochs: %d streams registered, %d sessions active, want 0 and 0", n, active)
+	}
+	metrics := serve(reaped, http.MethodGet, "/metrics", "")
+	for _, line := range []string{"\nqosd_streams_active 0\n", "\nqosd_model_sessions_active{model=\"mpeg_body\"} 0\n"} {
+		if !strings.Contains(metrics, line) {
+			t.Fatalf("/metrics lacks %q", line)
+		}
+	}
+
+	script := []struct{ target, body string }{
+		{"/v1/decide", `{"items":[{"stream":1},{"stream":2,"load":0.5},{"stream":1}]}`},
+		{"/v1/release", `{"stream":3}`},
+		{"/v1/decide", `{"items":[{"stream":1},{"stream":2},{"stream":3}]}`},
+		{"/v1/release", `{"stream":1}`},
+	}
+	for _, step := range script {
+		got, want := serve(reaped, http.MethodPost, step.target, step.body), serve(lazy, http.MethodPost, step.target, step.body)
+		if got != want {
+			t.Fatalf("%s %s:\nreaped: %s\nlazy:   %s", step.target, step.body, got, want)
+		}
+	}
+	if !strings.Contains(serve(reaped, http.MethodPost, "/v1/decide", `{"items":[{"stream":2}]}`), `"code":404`) {
+		t.Fatal("a tombstone answered a second decide")
+	}
+	if len(reaped.reaped) != 0 {
+		t.Fatalf("%d tombstones left after every client was answered", len(reaped.reaped))
+	}
+}
+
 // TestQosdMetricsParse drives some traffic and checks every /metrics
 // line is well-formed Prometheus text ("name value", "name{labels}
 // value", or a # comment) and the load-bearing series are present.

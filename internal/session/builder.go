@@ -13,7 +13,7 @@
 //     on-fallback) wired to internal/trace.
 //   - Runtime is a goroutine-safe multi-stream server: one System's
 //     precomputed tables (a core.Program) shared across any number of
-//     concurrent Sessions, recycled through a sync.Pool.
+//     concurrent Sessions, each one allocation of its own.
 package session
 
 import (

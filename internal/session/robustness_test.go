@@ -83,11 +83,11 @@ func TestRuntimeNeverPoolsQuarantined(t *testing.T) {
 	if got := rt.Stats().Quarantined; got != 1 {
 		t.Fatalf("Stats().Quarantined = %d, want 1", got)
 	}
-	// The poisoned instance must never come back out of the pool.
+	// The poisoned instance is never handed out again.
 	for i := 0; i < 64; i++ {
 		s := rt.Acquire()
 		if s.Controller() == poisoned {
-			t.Fatal("quarantined controller re-entered the pool")
+			t.Fatal("quarantined controller handed out again")
 		}
 		rt.Release(s)
 	}
@@ -140,8 +140,7 @@ func TestLeasedSourceFailsFastOnRevocation(t *testing.T) {
 	if _, err := s.Next(); !errors.Is(err, errRevokedTest) {
 		t.Fatalf("Next on revoked lease: %v", err)
 	}
-	// The controller itself is healthy (nothing panicked): the runtime
-	// may pool it again.
+	// The controller itself is healthy: nothing panicked.
 	ctrl := s.Controller()
 	if ctrl.Quarantined() {
 		t.Fatal("revocation must not quarantine the controller")

@@ -11,8 +11,9 @@ import (
 // Runtime is a goroutine-safe multi-stream server over one controlled
 // system: the expensive precomputed state (validation, EDF schedule,
 // constraint tables — a core.Program) is built once and shared, while
-// each concurrent stream gets its own cheap Session whose controller
-// instance is recycled through a sync.Pool.
+// each concurrent stream gets its own cheap Session: one allocation
+// holding the session, its tally and its controller, plus the
+// controller's θ.
 //
 // Acquire/Release (and RunCycle, which pairs them around one cycle)
 // are safe to call from any number of goroutines; each Session itself
@@ -23,7 +24,6 @@ import (
 // live sessions and the released ones.
 type Runtime struct {
 	prog *core.Program
-	pool sync.Pool
 
 	quarantined atomic.Int64
 
@@ -75,10 +75,17 @@ func (t *tally) addTo(st *RuntimeStats) {
 	st.CandidateEvals += t.candidateEvals.Load()
 }
 
-// tallied is an acquired session and its tally, in one allocation.
+// tallied is an acquired session, its tally and its controller, in
+// one allocation. Blocks of concurrent streams sit side by side in the
+// heap, and each stream writes its tally and controller on every cycle
+// from its own goroutine. A block (376 bytes) takes the allocator's
+// 384-byte size class, six 64-byte cache lines, so every block starts
+// on a line boundary and no two streams write one line
+// (TestRuntimeBlocksOwnCacheLines).
 type tallied struct {
 	s Session
 	t tally
+	c core.Controller
 }
 
 // NewRuntime validates the system, precomputes its controller program
@@ -116,21 +123,14 @@ type BudgetSource interface {
 	LeaseDelay() (core.Cycles, error)
 }
 
-// Acquire hands out a fresh Session for one stream, reusing a pooled
-// controller instance when available. The session is at a cycle
-// boundary. Observers are per-acquire: they see only this stream.
-// Controller configuration (mode, smoothness, evaluator) is fixed for
-// the whole runtime at NewRuntime.
+// Acquire hands out a fresh Session for one stream, over a fresh
+// controller at a cycle boundary. Observers are per-acquire: they see
+// only this stream. Controller configuration (mode, smoothness,
+// evaluator) is fixed for the whole runtime at NewRuntime.
 func (r *Runtime) Acquire(obs ...Observer) *Session {
 	h := new(tallied)
-	if v := r.pool.Get(); v != nil {
-		h.s.ctrl = v.(*core.Controller)
-		h.s.ctrl.Reset()
-	} else {
-		// Fresh instances come out of NewController already at a
-		// cycle boundary; no second reset needed.
-		h.s.ctrl = r.prog.NewController()
-	}
+	r.prog.InitController(&h.c)
+	h.s.ctrl = &h.c
 	h.s.obs = obs
 	h.s.owner.Store(r)
 	h.s.tally = &h.t
@@ -157,12 +157,12 @@ func (r *Runtime) AcquireBudgeted(src BudgetSource, obs ...Observer) *Session {
 	return s
 }
 
-// Release returns the session's controller instance to the pool. The
-// session must not be used afterwards. Release is safe against misuse
-// that would otherwise poison the shared pool: releasing a session that
+// Release detaches the session from the runtime and folds its tally
+// into the released totals. The session must not be used afterwards;
+// its controller is never handed out again. Releasing a session that
 // came from a different runtime (or none) is a no-op that leaves the
 // session usable, and double releases — even concurrent ones — detach
-// the controller exactly once.
+// the session exactly once.
 func (r *Runtime) Release(s *Session) {
 	if s == nil || !s.owner.CompareAndSwap(r, nil) {
 		return
@@ -175,17 +175,7 @@ func (r *Runtime) Release(s *Session) {
 	r.live = r.live[:len(r.live)-1]
 	t.addTo(&r.retired)
 	r.mu.Unlock()
-	ctrl := s.ctrl
-	s.ctrl = nil
-	s.budget = nil
-	s.tally = nil
-	// A Retarget would have forked the controller off the shared
-	// program, and a quarantined controller's mid-cycle state is
-	// unknowable after a workload panic; keep only instances
-	// indistinguishable from fresh ones.
-	if ctrl != nil && !ctrl.Quarantined() && ctrl.Program() == r.prog {
-		r.pool.Put(ctrl)
-	}
+	s.ctrl, s.budget, s.tally = nil, nil, nil
 }
 
 // RunCycle serves one full cycle of one stream: acquire, run the
@@ -213,8 +203,8 @@ type RuntimeStats struct {
 	// Actions is the mean level index of every decision served).
 	LevelSum, LevelChanges, CandidateEvals int64
 	// Quarantined counts controllers poisoned by workload panics
-	// (Session.Run recovered, quarantined the instance, and refused to
-	// pool it again).
+	// (Session.Run recovered, quarantined the instance and retired the
+	// session).
 	Quarantined int64
 }
 

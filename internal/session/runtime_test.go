@@ -2,9 +2,13 @@ package session
 
 import (
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -31,7 +35,10 @@ func TestRuntimeServesOneStream(t *testing.T) {
 	}
 }
 
-func TestRuntimePoolReuse(t *testing.T) {
+// TestRuntimeReleasedControllerNotHandedOut: a released session's
+// controller is never handed out again; the next acquire gets a fresh
+// one over the runtime's program, at a cycle boundary.
+func TestRuntimeReleasedControllerNotHandedOut(t *testing.T) {
 	sys := demoSystem(t)
 	rt, err := NewRuntime(sys)
 	if err != nil {
@@ -41,11 +48,11 @@ func TestRuntimePoolReuse(t *testing.T) {
 	c1 := s1.Controller()
 	rt.Release(s1)
 	s2 := rt.Acquire()
-	if s2.Controller() != c1 {
-		t.Log("pool did not reuse the instance (allowed, but unexpected in a single-goroutine test)")
+	if s2.Controller() == c1 {
+		t.Fatal("released controller handed out again")
 	}
 	if s2.Controller().Program() != rt.Program() {
-		t.Fatal("pooled controller lost its program")
+		t.Fatal("acquired controller does not run the runtime's program")
 	}
 	if s2.Position() != 0 || s2.Elapsed() != 0 {
 		t.Fatal("acquired session not at a cycle boundary")
@@ -69,23 +76,27 @@ func TestRuntimeRetargetedSessionNotPooled(t *testing.T) {
 	}
 	forked := s.Controller()
 	rt.Release(s)
-	// The forked controller must not come back out of the pool.
+	// The forked controller is never handed out again, and the
+	// runtime's sessions keep the shared program.
 	for i := 0; i < 8; i++ {
 		s2 := rt.Acquire()
 		if s2.Controller() == forked {
-			t.Fatal("retargeted controller re-entered the shared pool")
+			t.Fatal("retargeted controller handed out again")
+		}
+		if s2.Controller().Program() != rt.Program() {
+			t.Fatal("a retarget moved the runtime's program")
 		}
 		defer rt.Release(s2)
 	}
 }
 
-// TestRuntimePooledControllerMatchesFresh runs two budgeted streams in
-// turn on one Runtime, each releasing its session before the other
-// acquires, so the pool hands one controller from stream to stream.
-// Every cycle of either stream must match a fresh controller over the
-// runtime's program, charged the same handicap and fed the same costs:
-// the same CycleResult, assignment and schedule.
-func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
+// TestRuntimeAcquiredControllerMatchesFresh runs two budgeted streams
+// in turn on one Runtime, each releasing its session before the other
+// acquires. Every cycle of either stream must match a fresh controller
+// over the runtime's program, charged the same handicap and fed the
+// same costs: the same CycleResult, assignment and schedule. No
+// acquire is handed the controller of the session released before it.
+func TestRuntimeAcquiredControllerMatchesFresh(t *testing.T) {
 	sys := demoSystem(t)
 	// costs draws each action's cost from seed: mostly within the
 	// worst-case contract, and now and then over it (a fallback).
@@ -114,12 +125,12 @@ func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
 		streams := [2]*fixedDelay{{d: 0}, {d: 45}}
 		r := rand.New(rand.NewSource(1))
 		var prev *core.Controller
-		pooled, fallbacks := 0, 0
+		fallbacks := 0
 		for turn := 0; turn < 16; turn++ {
 			src := streams[turn%2]
 			s := rt.AcquireBudgeted(src)
 			if s.Controller() == prev {
-				pooled++
+				t.Fatalf("%s turn %d: the released controller was handed out again", name, turn)
 			}
 			for cycle := 0; cycle < 3; cycle++ {
 				if cycle > 0 {
@@ -137,21 +148,16 @@ func TestRuntimePooledControllerMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("%s turn %d cycle %d: pooled %+v, fresh %+v", name, turn, cycle, got, want)
+					t.Fatalf("%s turn %d cycle %d: acquired %+v, fresh %+v", name, turn, cycle, got, want)
 				}
 				fallbacks += got.Fallbacks
 				if !slices.Equal(s.Assignment(), fresh.Assignment()) || !slices.Equal(s.Schedule(), fresh.Schedule()) {
-					t.Fatalf("%s turn %d cycle %d: pooled assignment %v schedule %v, fresh %v %v", name, turn, cycle,
+					t.Fatalf("%s turn %d cycle %d: acquired assignment %v schedule %v, fresh %v %v", name, turn, cycle,
 						s.Assignment(), s.Schedule(), fresh.Assignment(), fresh.Schedule())
 				}
 			}
 			prev = s.Controller()
 			rt.Release(s)
-		}
-		// sync.Pool may drop an instance (it does so at random under
-		// -race), but not on every one of 15 hand-overs.
-		if pooled == 0 {
-			t.Fatalf("%s: the pool never handed a controller from one stream to the other", name)
 		}
 		if fallbacks == 0 {
 			t.Fatalf("%s: no cycle fell back; the costs never broke the contract", name)
@@ -368,18 +374,17 @@ func TestRuntimeReleaseForeignRuntime(t *testing.T) {
 	if got := rtA.Stats().ActiveSessions; got != 0 {
 		t.Fatalf("owner release failed after foreign attempt: active=%d", got)
 	}
-	// rtB's pool must not have received A's controller: a fresh
-	// acquire from B serves B's program.
+	// A fresh acquire from B serves B's program, not A's controller.
 	sB := rtB.Acquire()
 	defer rtB.Release(sB)
 	if sB.Controller().Program() != rtB.Program() {
-		t.Fatal("foreign controller leaked into the pool")
+		t.Fatal("B handed out a controller over A's program")
 	}
 }
 
 // TestRuntimeConcurrentDoubleRelease races many releases of the same
 // sessions (run under -race): each session must detach exactly once, so
-// the pool never holds one controller instance twice and the active
+// its tally is folded into the released totals once and the active
 // count never goes negative.
 func TestRuntimeConcurrentDoubleRelease(t *testing.T) {
 	sys := demoSystem(t)
@@ -391,6 +396,11 @@ func TestRuntimeConcurrentDoubleRelease(t *testing.T) {
 	ss := make([]*Session, sessions)
 	for i := range ss {
 		ss[i] = rt.Acquire()
+		if _, err := ss[i].RunFunc(func(a core.ActionID, q core.Level) core.Cycles {
+			return sys.Cav.At(q, a)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for _, s := range ss {
@@ -403,16 +413,85 @@ func TestRuntimeConcurrentDoubleRelease(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if got := rt.Stats().ActiveSessions; got != 0 {
-		t.Fatalf("active sessions after racy releases: %d", got)
+	if st := rt.Stats(); st.ActiveSessions != 0 || st.Cycles != sessions {
+		t.Fatalf("after racy releases: %d active, %d cycles, want 0 and %d", st.ActiveSessions, st.Cycles, sessions)
 	}
-	// Had any double release poisoned the pool, two acquires could be
-	// handed the same controller instance.
+	// Two sessions never share a controller.
 	a, b := rt.Acquire(), rt.Acquire()
 	defer rt.Release(a)
 	defer rt.Release(b)
 	if a.Controller() == b.Controller() {
-		t.Fatal("pool handed one controller to two sessions")
+		t.Fatal("one controller handed to two sessions")
+	}
+}
+
+// TestRuntimeFreedAfterOneCollection: a Runtime that served sessions and
+// was dropped is freed by the next collection. Nothing it handed out or
+// took back keeps it, its program or its system reachable through a
+// second one, so a heap read after one collection counts only the
+// runtimes still in use.
+func TestRuntimeFreedAfterOneCollection(t *testing.T) {
+	sys := demoSystem(t)
+	ref := func() weak.Pointer[Runtime] {
+		rt, err := NewRuntime(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work := platform.WorkloadFunc(func(a core.ActionID, q core.Level) core.Cycles { return sys.Cav.At(q, a) })
+		held := rt.AcquireBudgeted(&fixedDelay{d: 10})
+		for i := 0; i < 4; i++ {
+			if _, err := rt.RunCycle(work); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Release(held)
+		return weak.Make(rt)
+	}()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("a dropped Runtime survived a collection")
+	}
+}
+
+// TestRuntimeAcquireAllocs pins a stream's cost on the runtime: in
+// steady state AcquireBudgeted and Release on mpeg_body allocate
+// exactly the session's block and its controller's θ.
+func TestRuntimeAcquireAllocs(t *testing.T) {
+	b, err := LoadModel(filepath.Join("..", "..", "examples", "models", "mpeg_body.qos"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRuntime(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &fixedDelay{d: 10}
+	rt.Release(rt.AcquireBudgeted(src)) // grows the live registry once
+	if got := testing.AllocsPerRun(100, func() { rt.Release(rt.AcquireBudgeted(src)) }); got != 2 {
+		t.Fatalf("AcquireBudgeted+Release: %v allocations, want 2 (block and θ)", got)
+	}
+}
+
+// TestRuntimeBlocksOwnCacheLines checks that every acquired session's
+// block starts on a 64-byte cache line: with its size class a multiple
+// of the line, two streams' blocks then share no line, and a stream's
+// writes never slow its neighbour's reads.
+func TestRuntimeBlocksOwnCacheLines(t *testing.T) {
+	rt, err := NewRuntime(demoSystem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		s := rt.Acquire()
+		if at := uintptr(unsafe.Pointer(s)); at%64 != 0 {
+			t.Fatalf("session %d: block at %#x, %d bytes into a cache line (block size %d)",
+				i, at, at%64, unsafe.Sizeof(tallied{}))
+		}
+		defer rt.Release(s)
 	}
 }
 

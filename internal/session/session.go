@@ -13,8 +13,8 @@ import (
 // ErrWorkloadPanic is wrapped into the error Session.Run returns when
 // the workload panics mid-cycle. The session is terminal afterwards
 // (Err reports it, Next/Run refuse to serve), its controller is
-// quarantined — a Runtime will never pool it again — and a leased
-// budget grant is released so the share returns to the fleet.
+// quarantined — no stream is served on it again — and a leased budget
+// grant is released so the share returns to the fleet.
 var ErrWorkloadPanic = errors.New("session: workload panicked mid-cycle")
 
 // Observer receives the per-stream control events of a Session: the
@@ -193,8 +193,8 @@ func (s *Session) Observe(obs ...Observer) { s.obs = append(s.obs, obs...) }
 // Controller exposes the underlying controller for advanced use
 // (Retarget, custom evaluators). A Retarget moves the controller to a
 // program of its own, so a session acquired from a Runtime that
-// re-targets no longer shares the runtime's tables, and Release does
-// not pool its controller.
+// re-targets no longer shares the runtime's tables; the runtime's
+// other sessions keep them.
 func (s *Session) Controller() *core.Controller { return s.ctrl }
 
 // System returns the controlled system.
@@ -307,8 +307,8 @@ func (s *Session) SetLean(bool) {}
 // an error and the owning Runtime counts nothing.
 //
 // Run isolates workload panics: a panicking workload does not unwind
-// into the caller. Instead the controller is quarantined (a Runtime
-// never pools it again), the leased budget grant — if any — is
+// into the caller. Instead the controller is quarantined (no stream is
+// served on it again), the leased budget grant — if any — is
 // released back to the fleet, the session turns terminal, and Run
 // returns an error wrapping ErrWorkloadPanic with the panic value.
 func (s *Session) Run(w platform.Workload) (core.CycleResult, error) {

@@ -46,8 +46,8 @@
 //	sys, err := b.Build()
 //
 // To serve many concurrent streams, share one System's precomputed
-// tables through a Runtime — sessions are pooled and cheap, and any
-// number of goroutines may acquire them:
+// tables through a Runtime — a session is one small allocation, and
+// any number of goroutines may acquire them:
 //
 //	rt, err := qos.NewRuntime(sys)
 //	go func() { // per stream
