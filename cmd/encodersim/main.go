@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -35,40 +36,40 @@ func main() {
 	)
 	flag.Parse()
 	o := experiments.Options{Frames: *frames, Macroblocks: *mbs, Seed: *seed}
-	if err := run(*fig, o, *plot, *every); err != nil {
+	if err := run(os.Stdout, *fig, o, *plot, *every); err != nil {
 		fmt.Fprintln(os.Stderr, "encodersim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, o experiments.Options, plot bool, every int) error {
+func run(w io.Writer, fig string, o experiments.Options, plot bool, every int) error {
 	switch fig {
 	case "5":
-		return fig5()
+		return fig5(w)
 	case "6", "7":
-		return budgetFig(fig, o, plot, every)
+		return budgetFig(w, fig, o, plot, every)
 	case "8", "9":
-		return psnrFig(fig, o, plot, every)
+		return psnrFig(w, fig, o, plot, every)
 	case "overhead":
-		return overhead(o)
+		return overhead(w, o)
 	case "policies":
-		return policies(o)
+		return policies(w, o)
 	case "grain":
-		return grain(o)
+		return grain(w, o)
 	case "buffers":
-		return buffers(o)
+		return buffers(w, o)
 	case "learning":
-		return learning(o)
+		return learning(w, o)
 	case "smoothness":
-		return smoothness(o)
+		return smoothness(w, o)
 	case "decoder":
-		return decoderFig(o)
+		return decoderFig(w, o)
 	case "all":
 		for _, f := range []string{"5", "6", "7", "8", "9", "overhead", "policies", "grain", "buffers", "learning", "smoothness", "decoder"} {
-			if err := run(f, o, plot, every); err != nil {
+			if err := run(w, f, o, plot, every); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	default:
@@ -76,8 +77,8 @@ func run(fig string, o experiments.Options, plot bool, every int) error {
 	}
 }
 
-func fig5() error {
-	fmt.Println("== Figure 5: execution times (cycles) ==")
+func fig5(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 5: execution times (cycles) ==")
 	rows := [][]string{}
 	for _, r := range experiments.Fig5() {
 		q := "-"
@@ -86,11 +87,11 @@ func fig5() error {
 		}
 		rows = append(rows, []string{r.Label, q, r.Av.String(), r.Wc.String()})
 	}
-	fmt.Print(stats.RenderTable([]string{"action", "quality", "average", "worst case"}, rows))
+	fmt.Fprint(w, stats.RenderTable([]string{"action", "quality", "average", "worst case"}, rows))
 	return nil
 }
 
-func budgetFig(fig string, o experiments.Options, plot bool, every int) error {
+func budgetFig(w io.Writer, fig string, o experiments.Options, plot bool, every int) error {
 	var bf *experiments.BudgetFigure
 	var err error
 	if fig == "6" {
@@ -101,17 +102,17 @@ func budgetFig(fig string, o experiments.Options, plot bool, every int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Figure %s: time budget utilisation (encoding time, Mcycle; P = %.0f) ==\n", fig, bf.PeriodMcycle)
-	printSeriesTable(every, "encode-Mc", bf.Controlled, bf.Constant)
-	printRunSummary("controlled", bf.CtrlResult)
-	printRunSummary(bf.Constant.Name, bf.ConstResult)
+	fmt.Fprintf(w, "== Figure %s: time budget utilisation (encoding time, Mcycle; P = %.0f) ==\n", fig, bf.PeriodMcycle)
+	printSeriesTable(w, every, "encode-Mc", bf.Controlled, bf.Constant)
+	printRunSummary(w, "controlled", bf.CtrlResult)
+	printRunSummary(w, bf.Constant.Name, bf.ConstResult)
 	if plot {
-		fmt.Print(stats.RenderASCIIPlot(18, 100, bf.Controlled, bf.Constant))
+		fmt.Fprint(w, stats.RenderASCIIPlot(18, 100, bf.Controlled, bf.Constant))
 	}
 	return nil
 }
 
-func psnrFig(fig string, o experiments.Options, plot bool, every int) error {
+func psnrFig(w io.Writer, fig string, o experiments.Options, plot bool, every int) error {
 	var pf *experiments.PSNRFigure
 	var err error
 	if fig == "8" {
@@ -122,17 +123,17 @@ func psnrFig(fig string, o experiments.Options, plot bool, every int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== Figure %s: PSNR between input and output (dB) ==\n", fig)
-	printSeriesTable(every, "PSNR-dB", pf.Controlled, pf.Constant)
-	printRunSummary("controlled", pf.CtrlResult)
-	printRunSummary(pf.Constant.Name, pf.ConstResult)
+	fmt.Fprintf(w, "== Figure %s: PSNR between input and output (dB) ==\n", fig)
+	printSeriesTable(w, every, "PSNR-dB", pf.Controlled, pf.Constant)
+	printRunSummary(w, "controlled", pf.CtrlResult)
+	printRunSummary(w, pf.Constant.Name, pf.ConstResult)
 	if plot {
-		fmt.Print(stats.RenderASCIIPlot(18, 100, pf.Controlled, pf.Constant))
+		fmt.Fprint(w, stats.RenderASCIIPlot(18, 100, pf.Controlled, pf.Constant))
 	}
 	return nil
 }
 
-func printSeriesTable(every int, unit string, a, b *stats.Series) {
+func printSeriesTable(w io.Writer, every int, unit string, a, b *stats.Series) {
 	if every <= 0 {
 		every = 20
 	}
@@ -145,39 +146,39 @@ func printSeriesTable(every int, unit string, a, b *stats.Series) {
 			fmt.Sprintf("%.2f", b.Values[i]),
 		})
 	}
-	fmt.Print(stats.RenderTable(header, rows))
+	fmt.Fprint(w, stats.RenderTable(header, rows))
 	sa, sb := a.Summary(), b.Summary()
-	fmt.Printf("summary %-44s mean=%.2f min=%.2f max=%.2f\n", a.Name, sa.Mean, sa.Min, sa.Max)
-	fmt.Printf("summary %-44s mean=%.2f min=%.2f max=%.2f\n", b.Name, sb.Mean, sb.Min, sb.Max)
+	fmt.Fprintf(w, "summary %-44s mean=%.2f min=%.2f max=%.2f\n", a.Name, sa.Mean, sa.Min, sa.Max)
+	fmt.Fprintf(w, "summary %-44s mean=%.2f min=%.2f max=%.2f\n", b.Name, sb.Mean, sb.Min, sb.Max)
 }
 
-func printRunSummary(name string, res *qos.PipelineResult) {
+func printRunSummary(w io.Writer, name string, res *qos.PipelineResult) {
 	util := experiments.UtilisationSummary(res)
-	fmt.Printf("run %-46s skips=%d misses=%d fallbacks=%d utilisation(mean)=%.3f ctrl-overhead=%.4f\n",
+	fmt.Fprintf(w, "run %-46s skips=%d misses=%d fallbacks=%d utilisation(mean)=%.3f ctrl-overhead=%.4f\n",
 		name, res.Skips, res.Misses, res.Fallbacks, util.Mean, res.MeanCtrlFrac)
 }
 
-func overhead(o experiments.Options) error {
+func overhead(w io.Writer, o experiments.Options) error {
 	rep, err := experiments.Overhead(o)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Section 3 overheads (paper: ~2% code, <=1% memory, <1.5% runtime) ==")
+	fmt.Fprintln(w, "== Section 3 overheads (paper: ~2% code, <=1% memory, <1.5% runtime) ==")
 	rows := [][]string{
 		{"code", fmt.Sprintf("%d B", rep.ControllerCodeBytes+rep.CallSiteBytes), fmt.Sprintf("%d B", rep.BaselineCodeBytes), fmt.Sprintf("%.2f%%", 100*rep.CodeFraction)},
 		{"memory (tables)", fmt.Sprintf("%d B", rep.TableBytes), fmt.Sprintf("%d B", rep.BaselineMemBytes), fmt.Sprintf("%.2f%%", 100*rep.MemFraction)},
 		{"runtime", "-", "-", fmt.Sprintf("%.2f%%", 100*rep.RuntimeFraction)},
 	}
-	fmt.Print(stats.RenderTable([]string{"overhead", "added", "baseline", "fraction"}, rows))
+	fmt.Fprint(w, stats.RenderTable([]string{"overhead", "added", "baseline", "fraction"}, rows))
 	return nil
 }
 
-func policies(o experiments.Options) error {
+func policies(w io.Writer, o experiments.Options) error {
 	rows, err := experiments.ComparePolicies(o, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Ablation: fine-grain control vs coarse-grain policies (K=1) ==")
+	fmt.Fprintln(w, "== Ablation: fine-grain control vs coarse-grain policies (K=1) ==")
 	out := [][]string{}
 	for _, r := range rows {
 		out = append(out, []string{
@@ -188,16 +189,16 @@ func policies(o experiments.Options) error {
 			fmt.Sprintf("%.3f", r.Utilisation),
 		})
 	}
-	fmt.Print(stats.RenderTable([]string{"policy", "skips", "misses", "mean-q", "mean-PSNR", "utilisation"}, out))
+	fmt.Fprint(w, stats.RenderTable([]string{"policy", "skips", "misses", "mean-q", "mean-PSNR", "utilisation"}, out))
 	return nil
 }
 
-func grain(o experiments.Options) error {
+func grain(w io.Writer, o experiments.Options) error {
 	rows, err := experiments.CompareGrain(o, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Ablation: control granularity and smoothness (K=1) ==")
+	fmt.Fprintln(w, "== Ablation: control granularity and smoothness (K=1) ==")
 	out := [][]string{}
 	for _, r := range rows {
 		out = append(out, []string{
@@ -208,16 +209,16 @@ func grain(o experiments.Options) error {
 			fmt.Sprintf("%.1f", r.MeanEncodeMc),
 		})
 	}
-	fmt.Print(stats.RenderTable([]string{"variant", "skips", "misses", "fallbacks", "mean-q", "mean-PSNR", "mean-encode-Mc"}, out))
+	fmt.Fprint(w, stats.RenderTable([]string{"variant", "skips", "misses", "fallbacks", "mean-q", "mean-PSNR", "mean-encode-Mc"}, out))
 	return nil
 }
 
-func learning(o experiments.Options) error {
+func learning(w io.Writer, o experiments.Options) error {
 	rows, err := experiments.CompareLearning(o, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Ablation: online learning of average execution times (K=1) ==")
+	fmt.Fprintln(w, "== Ablation: online learning of average execution times (K=1) ==")
 	out := [][]string{}
 	for _, r := range rows {
 		out = append(out, []string{
@@ -228,17 +229,17 @@ func learning(o experiments.Options) error {
 			strconv.Itoa(r.Misses), strconv.Itoa(r.Skips),
 		})
 	}
-	fmt.Print(stats.RenderTable([]string{"variant", "mean-q", "mean-PSNR", "utilisation", "misses", "skips"}, out))
+	fmt.Fprint(w, stats.RenderTable([]string{"variant", "mean-q", "mean-PSNR", "utilisation", "misses", "skips"}, out))
 	return nil
 }
 
-func decoderFig(o experiments.Options) error {
+func decoderFig(w io.Writer, o experiments.Options) error {
 	rows, deadline, err := experiments.DecoderComparison(o.Frames, o.Seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Second case study: quality-scalable decoder, hard display deadline ==")
-	fmt.Printf("display deadline: %.2f Mcycle/frame\n", float64(deadline)/1e6)
+	fmt.Fprintln(w, "== Second case study: quality-scalable decoder, hard display deadline ==")
+	fmt.Fprintf(w, "display deadline: %.2f Mcycle/frame\n", float64(deadline)/1e6)
 	out := [][]string{}
 	for _, r := range rows {
 		out = append(out, []string{
@@ -248,11 +249,11 @@ func decoderFig(o experiments.Options) error {
 			fmt.Sprintf("%.3f", r.MeanBudget),
 		})
 	}
-	fmt.Print(stats.RenderTable([]string{"variant", "mean-q", "misses", "budget use"}, out))
+	fmt.Fprint(w, stats.RenderTable([]string{"variant", "mean-q", "misses", "budget use"}, out))
 	return nil
 }
 
-func smoothness(o experiments.Options) error {
+func smoothness(w io.Writer, o experiments.Options) error {
 	n := o.Macroblocks
 	if n == 0 || n > 120 {
 		n = 120 // the analysis is per-position; a slice of the frame suffices
@@ -261,16 +262,16 @@ func smoothness(o experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("== Smoothness analysis: guaranteed bound on quality drops ==")
-	fmt.Printf("frame slice: %d macroblocks, budget = q4 average\n", res.Macroblocks)
-	fmt.Printf("static bound on consecutive-decision drop: %d levels (q%d -> q%d at position %d)\n",
+	fmt.Fprintln(w, "== Smoothness analysis: guaranteed bound on quality drops ==")
+	fmt.Fprintf(w, "frame slice: %d macroblocks, budget = q4 average\n", res.Macroblocks)
+	fmt.Fprintf(w, "static bound on consecutive-decision drop: %d levels (q%d -> q%d at position %d)\n",
 		res.MaxDrop, res.WorstFrom, res.WorstTo, res.WorstPosition)
-	fmt.Printf("observed worst drop in a high-load run:    %d levels\n", res.ObservedMaxDrop)
+	fmt.Fprintf(w, "observed worst drop in a high-load run:    %d levels\n", res.ObservedMaxDrop)
 	return nil
 }
 
-func buffers(o experiments.Options) error {
-	fmt.Println("== Ablation: constant quality q=4, buffer size sweep ==")
+func buffers(w io.Writer, o experiments.Options) error {
+	fmt.Fprintln(w, "== Ablation: constant quality q=4, buffer size sweep ==")
 	rows, err := experiments.BufferSweep(o, 4, []int{1, 2, 3, 4})
 	if err != nil {
 		return err
@@ -283,6 +284,6 @@ func buffers(o experiments.Options) error {
 			fmt.Sprintf("%.2f", r.MeanPSNR),
 		})
 	}
-	fmt.Print(stats.RenderTable([]string{"K", "skips", "max-latency (periods)", "mean-PSNR"}, out))
+	fmt.Fprint(w, stats.RenderTable([]string{"K", "skips", "max-latency (periods)", "mean-PSNR"}, out))
 	return nil
 }

@@ -2,14 +2,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
-	"slices"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the qosctl goldens under testdata/golden")
+	"repro/internal/golden"
+)
 
 // goldenRuns are the fixed-seed qosctl runs whose output is held to
 // testdata/golden/<name>.txt.
@@ -34,7 +31,6 @@ var goldenRuns = []struct {
 // only for an intended change of a decision or of the output.
 func TestGoldenOutputs(t *testing.T) {
 	model := filepath.Join("..", "..", "examples", "models", "mpeg_body.qos")
-	dir := filepath.Join("testdata", "golden")
 	var names []string
 	for _, run := range goldenRuns {
 		names = append(names, run.name+".txt")
@@ -44,32 +40,8 @@ func TestGoldenOutputs(t *testing.T) {
 			if code != 0 || stderr.Len() != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.Bytes())
 			}
-			path := filepath.Join(dir, run.name+".txt")
-			if *update {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("output differs from %s:\n--- got\n%s--- want\n%s", path, stdout.Bytes(), want)
-			}
+			golden.Check(t, run.name+".txt", stdout.Bytes())
 		})
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !slices.Contains(names, e.Name()) {
-			t.Errorf("%s: golden without a run in goldenRuns", filepath.Join(dir, e.Name()))
-		}
-	}
+	golden.Complete(t, names...)
 }

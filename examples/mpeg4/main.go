@@ -10,17 +10,26 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	qos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing its report to w.
+func run(w io.Writer) error {
 	cfg := qos.DefaultVideoConfig()
 	cfg.Frames = 240 // a representative slice of the benchmark
 	src, err := qos.NewVideoSource(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The two variants are independent streams; run them concurrently
@@ -30,24 +39,25 @@ func main() {
 		{Source: src, K: 1, ConstQ: 3, Seed: 1},
 	}, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	controlled, constant := results[0], results[1]
 
-	fmt.Printf("%-4s %-5s | %-28s | %-28s\n", "seq", "load", "controlled K=1", "constant q=3 K=1")
-	fmt.Printf("%-4s %-5s | %-8s %-9s %-8s | %-8s %-9s %-8s\n",
+	fmt.Fprintf(w, "%-4s %-5s | %-28s | %-28s\n", "seq", "load", "controlled K=1", "constant q=3 K=1")
+	fmt.Fprintf(w, "%-4s %-5s | %-8s %-9s %-8s | %-8s %-9s %-8s\n",
 		"", "", "enc(Mc)", "PSNR", "skips", "enc(Mc)", "PSNR", "skips")
 	nSeq := cfg.Sequences
 	for s := 0; s < nSeq; s++ {
 		cEnc, cPSNR, cSkip := seqSummary(controlled, s)
 		kEnc, kPSNR, kSkip := seqSummary(constant, s)
-		fmt.Printf("%-4d %-5.2f | %-8.1f %-9.2f %-8d | %-8.1f %-9.2f %-8d\n",
+		fmt.Fprintf(w, "%-4d %-5.2f | %-8.1f %-9.2f %-8d | %-8.1f %-9.2f %-8d\n",
 			s, src.SequenceLoad(s), cEnc, cPSNR, cSkip, kEnc, kPSNR, kSkip)
 	}
-	fmt.Printf("\ntotals: controlled skips=%d misses=%d | constant skips=%d misses=%d\n",
+	fmt.Fprintf(w, "\ntotals: controlled skips=%d misses=%d | constant skips=%d misses=%d\n",
 		controlled.Skips, controlled.Misses, constant.Skips, constant.Misses)
-	fmt.Printf("controller runtime overhead: %.2f%% of encode cycles (paper: <1.5%%)\n",
+	fmt.Fprintf(w, "controller runtime overhead: %.2f%% of encode cycles (paper: <1.5%%)\n",
 		100*controlled.MeanCtrlFrac)
+	return nil
 }
 
 // seqSummary aggregates one sequence of a run.

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	qos "repro"
 )
@@ -60,14 +62,14 @@ func frameBound(sys *qos.System, q qos.Level, wc bool) qos.Cycles {
 
 // decode runs the synthetic stream under fine-grain control and returns
 // (mean level, misses, mean budget use).
-func decode(deadline qos.Cycles, frames, gop int, seed uint64) (float64, int, float64) {
+func decode(deadline qos.Cycles, frames, gop int, seed uint64) (float64, int, float64, error) {
 	sys, err := buildSystem(deadline)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, 0, err
 	}
 	s, err := qos.NewSession(sys)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, 0, err
 	}
 	rng := qos.NewRNG(seed)
 	var lvl, cons float64
@@ -87,21 +89,21 @@ func decode(deadline qos.Cycles, frames, gop int, seed uint64) (float64, int, fl
 			return av.AddSat(qos.Cycles(frac * float64(wc.SubSat(av))))
 		})
 		if err != nil {
-			log.Fatal(err)
+			return 0, 0, 0, err
 		}
 		misses += res.Misses
 		lvl += res.MeanLevel()
 		cons += float64(res.Elapsed) / float64(deadline)
 	}
-	return lvl / float64(frames), misses, cons / float64(frames)
+	return lvl / float64(frames), misses, cons / float64(frames), nil
 }
 
 // decodeConstant is the fixed-level baseline: no controller, misses
 // whenever the frame's actual cost exceeds the deadline.
-func decodeConstant(deadline qos.Cycles, q qos.Level, frames, gop int, seed uint64) (int, float64) {
+func decodeConstant(deadline qos.Cycles, q qos.Level, frames, gop int, seed uint64) (int, float64, error) {
 	sys, err := buildSystem(deadline)
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
 	alpha := qos.EDFSchedule(sys.Graph, sys.Cwc.AtIndex(int(q)), sys.D.AtIndex(int(q)))
 	rng := qos.NewRNG(seed)
@@ -128,23 +130,30 @@ func decodeConstant(deadline qos.Cycles, q qos.Level, frames, gop int, seed uint
 		}
 		cons += float64(t) / float64(deadline)
 	}
-	return misses, cons / float64(frames)
+	return misses, cons / float64(frames), nil
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing its report to w.
+func run(w io.Writer) error {
 	const frames, gop = 400, 12
 	mc := func(c qos.Cycles) float64 { return float64(c) / float64(qos.Mcycle) }
 	// A reference build (no deadline) to read the cost bounds from.
 	ref, err := buildSystem(qos.Inf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("decoding %d frames (GOP %d)\n", frames, gop)
-	fmt.Printf("frame cost: q0 av=%.2fMc wc=%.2fMc | q3 av=%.2fMc wc=%.2fMc\n\n",
+	fmt.Fprintf(w, "decoding %d frames (GOP %d)\n", frames, gop)
+	fmt.Fprintf(w, "frame cost: q0 av=%.2fMc wc=%.2fMc | q3 av=%.2fMc wc=%.2fMc\n\n",
 		mc(frameBound(ref, 0, false)), mc(frameBound(ref, 0, true)),
 		mc(frameBound(ref, 3, false)), mc(frameBound(ref, 3, true)))
 
-	fmt.Printf("%-22s %-10s %-8s %-10s\n", "deadline (Mcycle)", "mean q", "misses", "budget use")
+	fmt.Fprintf(w, "%-22s %-10s %-8s %-10s\n", "deadline (Mcycle)", "mean q", "misses", "budget use")
 	for _, deadline := range []qos.Cycles{
 		frameBound(ref, 0, true).AddSat(200_000), // barely above the safe floor
 		3_100_000,                                // the baseline comparison point below
@@ -153,17 +162,24 @@ func main() {
 		5_400_000,
 		frameBound(ref, 3, true), // everything fits even at worst case
 	} {
-		meanQ, misses, use := decode(deadline, frames, gop, 2025)
-		fmt.Printf("%-22.2f %-10.2f %-8d %-10.2f\n", mc(deadline), meanQ, misses, use)
+		meanQ, misses, use, err := decode(deadline, frames, gop, 2025)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-22.2f %-10.2f %-8d %-10.2f\n", mc(deadline), meanQ, misses, use)
 	}
 
-	fmt.Println("\nconstant-level baseline at a tight 3.1 Mcycle deadline")
-	fmt.Println("(the fine-grain controller decodes the same stream there without misses):")
-	fmt.Printf("%-22s %-10s %-8s %-10s\n", "level", "mean q", "misses", "budget use")
+	fmt.Fprintln(w, "\nconstant-level baseline at a tight 3.1 Mcycle deadline")
+	fmt.Fprintln(w, "(the fine-grain controller decodes the same stream there without misses):")
+	fmt.Fprintf(w, "%-22s %-10s %-8s %-10s\n", "level", "mean q", "misses", "budget use")
 	for q := qos.Level(0); q <= 3; q++ {
-		misses, use := decodeConstant(3_100_000, q, frames, gop, 2025)
-		fmt.Printf("q%-21d %-10.2f %-8d %-10.2f\n", q, float64(q), misses, use)
+		misses, use, err := decodeConstant(3_100_000, q, frames, gop, 2025)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "q%-21d %-10.2f %-8d %-10.2f\n", q, float64(q), misses, use)
 	}
-	fmt.Println("\nthe controller rides the deadline: zero misses at every budget,")
-	fmt.Println("with quality scaling to whatever the bitstream leaves over.")
+	fmt.Fprintln(w, "\nthe controller rides the deadline: zero misses at every budget,")
+	fmt.Fprintln(w, "with quality scaling to whatever the bitstream leaves over.")
+	return nil
 }

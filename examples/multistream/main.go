@@ -23,7 +23,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	qos "repro"
@@ -34,52 +36,59 @@ func main() {
 	streams := flag.Int("streams", 16, "concurrent streams under the shared budget")
 	cycles := flag.Int("cycles", 200, "cycles per stream and phase")
 	flag.Parse()
-
-	b, err := qos.LoadModel(*modelPath)
-	if err != nil {
+	if err := run(os.Stdout, *modelPath, *streams, *cycles); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run is the example on the model at modelPath, writing its report to w.
+func run(w io.Writer, modelPath string, streams, cycles int) error {
+	b, err := qos.LoadModel(modelPath)
+	if err != nil {
+		return err
 	}
 	sys, err := b.Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rt, err := qos.NewRuntime(sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	spec, err := qos.StreamSpecFromProgram(rt.Program())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Budget the period between the admission floor (every stream at
 	// qmin) and full quality — 30% of the way up: the mixer has real
 	// arbitration to do.
 	perStream := spec.MinNeed.AddSat(spec.FullNeed.SubSat(spec.MinNeed).MulSat(3) / 10)
-	total := perStream.MulSat(qos.Cycles(*streams))
+	total := perStream.MulSat(qos.Cycles(streams))
 	shared, err := qos.NewSharedBudget(total, qos.FairShare)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("model %s: nominal=%v min-need=%v full-need=%v\n",
-		*modelPath, spec.Nominal, spec.MinNeed, spec.FullNeed)
-	fmt.Printf("shared budget %v per period across %d streams (policy %s)\n\n",
-		total, *streams, shared.Policy())
+	fmt.Fprintf(w, "model %s: nominal=%v min-need=%v full-need=%v\n",
+		modelPath, spec.Nominal, spec.MinNeed, spec.FullNeed)
+	fmt.Fprintf(w, "shared budget %v per period across %d streams (policy %s)\n\n",
+		total, streams, shared.Policy())
 
-	grants := make([]*qos.StreamGrant, *streams)
+	grants := make([]*qos.StreamGrant, streams)
 	for i := range grants {
 		if grants[i], err = shared.Admit(spec); err != nil {
-			log.Fatalf("stream %d rejected: %v", i, err)
+			return fmt.Errorf("stream %d rejected: %w", i, err)
 		}
 	}
 	st := shared.Stats()
-	fmt.Printf("admitted %d/%d streams: committed %v, slack %v, degraded=%v\n",
-		st.Streams, *streams, st.Committed, st.Slack, st.Degraded)
+	fmt.Fprintf(w, "admitted %d/%d streams: committed %v, slack %v, degraded=%v\n",
+		st.Streams, streams, st.Committed, st.Slack, st.Degraded)
 
-	phase := func(name string, active int) {
+	phase := func(name string, active int) error {
 		type agg struct {
 			meanQ     float64
 			misses    int
 			fallbacks int
+			err       error
 		}
 		results := make([]agg, active)
 		var wg sync.WaitGroup
@@ -91,7 +100,7 @@ func main() {
 				s := rt.AcquireBudgeted(grants[i])
 				defer rt.Release(s)
 				var qSum float64
-				for c := 0; c < *cycles; c++ {
+				for c := 0; c < cycles; c++ {
 					s.Reset()
 					res, err := s.RunFunc(func(a qos.ActionID, q qos.Level) qos.Cycles {
 						av := sys.Cav.At(q, a)
@@ -104,40 +113,49 @@ func main() {
 						return av.AddSat(qos.Cycles(rng.Float64() * float64(wc.SubSat(av)) / 4))
 					})
 					if err != nil {
-						log.Fatal(err)
+						results[i].err = err
+						return
 					}
 					qSum += res.MeanLevel()
 					results[i].misses += res.Misses
 					results[i].fallbacks += res.Fallbacks
 				}
-				results[i].meanQ = qSum / float64(*cycles)
+				results[i].meanQ = qSum / float64(cycles)
 			}(i)
 		}
 		wg.Wait()
 		var q float64
 		var misses, fallbacks int
 		for _, r := range results {
+			if r.err != nil {
+				return r.err
+			}
 			q += r.meanQ
 			misses += r.misses
 			fallbacks += r.fallbacks
 		}
 		share := grants[0].Share()
-		fmt.Printf("%-22s: %2d streams × %d cycles, share=%v/stream, mean level %.2f, misses=%d fallbacks=%d\n",
-			name, active, *cycles, share, q/float64(active), misses, fallbacks)
+		fmt.Fprintf(w, "%-22s: %2d streams × %d cycles, share=%v/stream, mean level %.2f, misses=%d fallbacks=%d\n",
+			name, active, cycles, share, q/float64(active), misses, fallbacks)
+		return nil
 	}
 
-	phase("phase 1 (all streams)", *streams)
+	if err := phase("phase 1 (all streams)", streams); err != nil {
+		return err
+	}
 
 	// Half the tenants leave; their slack flows to the survivors.
-	for i := *streams / 2; i < *streams; i++ {
+	for i := streams / 2; i < streams; i++ {
 		grants[i].Release()
 	}
-	phase("phase 2 (half released)", *streams/2)
+	if err := phase("phase 2 (half released)", streams/2); err != nil {
+		return err
+	}
 
 	// Phase 3: robustness. Arm leasing — a grant now stays alive only
 	// while its stream keeps reaching cycle boundaries — then inject the
 	// two canonical faults.
-	fmt.Println()
+	fmt.Fprintln(w)
 	shared.SetLease(2)
 
 	// The staller: stream 0 stops serving. Every Rebalance advances the
@@ -147,13 +165,13 @@ func main() {
 	for epoch := 0; epoch < 4; epoch++ {
 		// The healthy survivors keep reaching cycle boundaries — each
 		// read renews their lease. Stream 0 has stalled and never does.
-		for i := 1; i < *streams/2; i++ {
+		for i := 1; i < streams/2; i++ {
 			_ = grants[i].Share()
 		}
 		shared.Rebalance()
 	}
 	staller.Reset() // the stream "wakes up" on a reclaimed share
-	fmt.Printf("phase 3 (stall) : grant revoked=%v, session fails fast: %v\n",
+	fmt.Fprintf(w, "phase 3 (stall) : grant revoked=%v, session fails fast: %v\n",
 		grants[0].Revoked(), staller.Err())
 	rt.Release(staller)
 
@@ -164,19 +182,20 @@ func main() {
 	_, perr := panicker.RunFunc(func(qos.ActionID, qos.Level) qos.Cycles {
 		panic("decoder hit a corrupt macroblock")
 	})
-	fmt.Printf("phase 3 (panic) : %v\n", perr)
-	fmt.Printf("                  controller quarantined=%v, grant share=%v, pool quarantines=%d\n",
+	fmt.Fprintf(w, "phase 3 (panic) : %v\n", perr)
+	fmt.Fprintf(w, "                  controller quarantined=%v, grant share=%v, pool quarantines=%d\n",
 		panicker.Controller().Quarantined(), grants[1].Share(), rt.Stats().Quarantined)
 	rt.Release(panicker)
 
 	st = shared.Stats()
-	fmt.Printf("phase 3 budget  : %d streams still admitted, committed %v, revoked=%d\n",
+	fmt.Fprintf(w, "phase 3 budget  : %d streams still admitted, committed %v, revoked=%d\n",
 		st.Streams, st.Committed, st.Revoked)
 
 	agg := rt.Stats()
-	fmt.Printf("\nruntime served %d cycles / %d actions (misses=%d)\n",
+	fmt.Fprintf(w, "\nruntime served %d cycles / %d actions (misses=%d)\n",
 		agg.Cycles, agg.Actions, agg.Misses)
-	for i := 2; i < *streams/2; i++ {
+	for i := 2; i < streams/2; i++ {
 		grants[i].Release()
 	}
+	return nil
 }

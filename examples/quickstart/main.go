@@ -8,12 +8,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	qos "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing its report to w.
+func run(w io.Writer) error {
 	// The application: fetch -> process -> emit, once per cycle. Only
 	// "process" depends on the level: the high-quality path averages
 	// 60 cycles (worst case 100), the low one 20 (worst case 30). One
@@ -32,7 +41,7 @@ func main() {
 		DeadlineAll("emit", 124).
 		Build()
 	if err != nil {
-		log.Fatal(err) // names the offending action and level
+		return err // names the offending action and level
 	}
 
 	// One stream, one session. An observer records the cycle's
@@ -49,7 +58,7 @@ func main() {
 		},
 	}))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Simulated execution: actual times land between average and worst
@@ -65,17 +74,18 @@ func main() {
 			return av.AddSat(qos.Cycles(rng.Float64() * float64(wc.SubSat(av))))
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("cycle %d: finished at t=%-4s quality=", cycle, res.Elapsed)
+		fmt.Fprintf(w, "cycle %d: finished at t=%-4s quality=", cycle, res.Elapsed)
 		for i, d := range decided {
 			if i > 0 {
-				fmt.Print(",")
+				fmt.Fprint(w, ",")
 			}
-			fmt.Printf("%s@q%d", g.Name(d.Action), d.Level)
+			fmt.Fprintf(w, "%s@q%d", g.Name(d.Action), d.Level)
 		}
-		fmt.Printf("  misses=%d\n", res.Misses)
+		fmt.Fprintf(w, "  misses=%d\n", res.Misses)
 	}
-	fmt.Printf("\n%d decisions ran at q0: the controller holds q1 while the\n", lowDecisions)
-	fmt.Println("budget allows and degrades process whenever q1 would be unsafe.")
+	fmt.Fprintf(w, "\n%d decisions ran at q0: the controller holds q1 while the\n", lowDecisions)
+	fmt.Fprintln(w, "budget allows and degrades process whenever q1 would be unsafe.")
+	return nil
 }

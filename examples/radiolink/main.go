@@ -15,7 +15,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	qos "repro"
@@ -51,17 +53,25 @@ type linkStats struct {
 	misses, fallbacks int
 	qSum, utilSum     float64
 	levelHist         map[qos.Level]int
+	err               error
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing its report to w.
+func run(w io.Writer) error {
 	sys, err := buildSystem()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Hard mode (the default): the slot deadline is law on every link.
 	rt, err := qos.NewRuntime(sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	stats := make([]linkStats, links)
@@ -92,7 +102,8 @@ func main() {
 					return av.AddSat(qos.Cycles(f * float64(wc.SubSat(av))))
 				})
 				if err != nil {
-					log.Fatal(err)
+					st.err = err
+					return
 				}
 				st.misses += res.Misses
 				st.fallbacks += res.Fallbacks
@@ -102,25 +113,31 @@ func main() {
 		}(l)
 	}
 	wg.Wait()
+	for _, st := range stats {
+		if st.err != nil {
+			return st.err
+		}
+	}
 
-	fmt.Printf("radio link: %d concurrent links x %d slots, %d-cycle hard slot deadline\n",
+	fmt.Fprintf(w, "radio link: %d concurrent links x %d slots, %d-cycle hard slot deadline\n",
 		links, slots, slotBudget)
-	fmt.Printf("one shared runtime: tables precomputed once, sessions pooled\n\n")
-	fmt.Printf("%-5s %-8s %-10s %-8s %-12s\n", "link", "misses", "breaches", "mean-q", "utilisation")
+	fmt.Fprintf(w, "one shared runtime: tables precomputed once, sessions pooled\n\n")
+	fmt.Fprintf(w, "%-5s %-8s %-10s %-8s %-12s\n", "link", "misses", "breaches", "mean-q", "utilisation")
 	var missTotal int
 	for l, st := range stats {
 		missTotal += st.misses
-		fmt.Printf("%-5d %-8d %-10d %-8.2f %10.1f%%\n",
+		fmt.Fprintf(w, "%-5d %-8d %-10d %-8.2f %10.1f%%\n",
 			l, st.misses, st.fallbacks, st.qSum/slots, 100*st.utilSum/slots)
 	}
 	agg := rt.Stats()
-	fmt.Printf("\nruntime totals: %d slots served, %d actions, %d misses\n",
+	fmt.Fprintf(w, "\nruntime totals: %d slots served, %d actions, %d misses\n",
 		agg.Cycles, agg.Actions, agg.Misses)
 	if missTotal == 0 {
-		fmt.Println("hard guarantee held on every link while quality tracked the fading.")
+		fmt.Fprintln(w, "hard guarantee held on every link while quality tracked the fading.")
 	}
-	fmt.Println("\nper-level action counts, link 0 (adaptation to fading):")
+	fmt.Fprintln(w, "\nper-level action counts, link 0 (adaptation to fading):")
 	for _, q := range sys.Levels {
-		fmt.Printf("  q%d: %d\n", q, stats[0].levelHist[q])
+		fmt.Fprintf(w, "  q%d: %d\n", q, stats[0].levelHist[q])
 	}
+	return nil
 }

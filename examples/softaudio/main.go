@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	qos "repro"
 )
@@ -35,10 +37,10 @@ func buildSystem() (*qos.System, error) {
 	return b.Build()
 }
 
-func run(mode qos.Mode, sys *qos.System, blocks int) (misses int, meanQ float64) {
+func runMode(mode qos.Mode, sys *qos.System, blocks int) (misses int, meanQ float64, err error) {
 	s, err := qos.NewSession(sys, qos.WithControllerOptions(qos.WithMode(mode)))
 	if err != nil {
-		log.Fatal(err)
+		return 0, 0, err
 	}
 	rng := qos.NewRNG(7)
 	var qSum float64
@@ -59,26 +61,40 @@ func run(mode qos.Mode, sys *qos.System, blocks int) (misses int, meanQ float64)
 			return c
 		})
 		if err != nil {
-			log.Fatal(err)
+			return 0, 0, err
 		}
 		misses += res.Misses
 		qSum += res.MeanLevel()
 	}
-	return misses, qSum / float64(blocks)
+	return misses, qSum / float64(blocks), nil
 }
 
 func main() {
-	sys, err := buildSystem()
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run is the example, writing its report to w.
+func run(w io.Writer) error {
+	sys, err := buildSystem()
+	if err != nil {
+		return err
+	}
 	const blocks = 2000
-	hardMiss, hardQ := run(qos.Hard, sys, blocks)
-	softMiss, softQ := run(qos.Soft, sys, blocks)
-	fmt.Printf("audio pipeline, %d blocks, budget %d cycles/block\n\n", blocks, blockBudget)
-	fmt.Printf("%-6s %-10s %-10s\n", "mode", "misses", "mean quality")
-	fmt.Printf("%-6s %-10d %-10.2f\n", "hard", hardMiss, hardQ)
-	fmt.Printf("%-6s %-10d %-10.2f\n", "soft", softMiss, softQ)
-	fmt.Println("\nhard mode guarantees zero misses by reserving worst-case slack;")
-	fmt.Println("soft mode rides the averages: higher quality, occasional glitches.")
+	hardMiss, hardQ, err := runMode(qos.Hard, sys, blocks)
+	if err != nil {
+		return err
+	}
+	softMiss, softQ, err := runMode(qos.Soft, sys, blocks)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "audio pipeline, %d blocks, budget %d cycles/block\n\n", blocks, blockBudget)
+	fmt.Fprintf(w, "%-6s %-10s %-10s\n", "mode", "misses", "mean quality")
+	fmt.Fprintf(w, "%-6s %-10d %-10.2f\n", "hard", hardMiss, hardQ)
+	fmt.Fprintf(w, "%-6s %-10d %-10.2f\n", "soft", softMiss, softQ)
+	fmt.Fprintln(w, "\nhard mode guarantees zero misses by reserving worst-case slack;")
+	fmt.Fprintln(w, "soft mode rides the averages: higher quality, occasional glitches.")
+	return nil
 }

@@ -2,19 +2,15 @@ package pipeline
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/mpeg"
 	"repro/internal/video"
 )
-
-var update = flag.Bool("update", false, "rewrite the pipeline goldens under testdata/golden")
 
 // TestGoldenPerMBRetarget holds the per-frame records of a K=2
 // per-macroblock-deadline run to testdata/golden. With K=2 each frame's
@@ -57,38 +53,9 @@ func TestGoldenPerMBRetarget(t *testing.T) {
 		fmt.Fprintf(&buf, "%d %t %d %d %s %d %d\n", r.Index, r.Skipped, int64(r.Budget), int64(r.Encode),
 			strconv.FormatFloat(r.MeanLevel, 'g', -1, 64), r.Misses, r.Fallbacks)
 	}
-	path := filepath.Join("testdata", "golden", "permb_k2.txt")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else if want, err := os.ReadFile(path); err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	} else if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("per-frame records differ from %s:\n%s", path, firstDiff(want, buf.Bytes()))
-	}
+	golden.Check(t, "permb_k2.txt", buf.Bytes())
+	golden.Complete(t, "permb_k2.txt")
 	if 2*moved <= encoded {
 		t.Errorf("budget moved on %d of %d encoded frames; the golden must retarget on most", moved, encoded)
 	}
-}
-
-// firstDiff names the first line at which got departs from want.
-func firstDiff(want, got []byte) string {
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
-	for i := 0; i < len(wl) || i < len(gl); i++ {
-		var w, g []byte
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if !bytes.Equal(w, g) {
-			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, w, g)
-		}
-	}
-	return "lengths differ"
 }

@@ -3,22 +3,18 @@ package qosd
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/qosd/api"
 )
-
-var update = flag.Bool("update", false, "rewrite the qosd goldens under testdata/golden")
 
 // TestGoldenReplies holds every reply of a fixed request script to
 // testdata/golden/replies.txt: for each request its status, its
@@ -134,19 +130,8 @@ func TestGoldenReplies(t *testing.T) {
 	serve("wrong method on healthz", post, "/healthz", "")
 	serve("metrics", http.MethodGet, "/metrics", "")
 
-	path := filepath.Join("testdata", "golden", "replies.txt")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else if want, err := os.ReadFile(path); err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	} else if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("replies differ from %s:\n%s", path, firstDiff(want, out.Bytes()))
-	}
+	golden.Check(t, "replies.txt", out.Bytes())
+	golden.Complete(t, "replies.txt")
 }
 
 // maskMetrics replaces the values of the /metrics lines that depend on
@@ -163,22 +148,4 @@ func maskMetrics(b []byte) []byte {
 		}
 	}
 	return []byte(strings.Join(lines, ""))
-}
-
-// firstDiff names the first line at which got departs from want.
-func firstDiff(want, got []byte) string {
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
-	for i := 0; i < len(wl) || i < len(gl); i++ {
-		var w, g []byte
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if !bytes.Equal(w, g) {
-			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, w, g)
-		}
-	}
-	return "lengths differ"
 }
