@@ -115,8 +115,8 @@ func linearScanOption(tb testing.TB, sys *core.System) core.Option {
 }
 
 // BenchmarkControllerDecision measures one controller decision across
-// level counts on the table path — threshold engine vs the retained
-// linear-scan reference — plus the direct (no-tables) path.
+// level counts on the tables — threshold engine vs the retained
+// linear-scan reference.
 func BenchmarkControllerDecision(b *testing.B) {
 	for _, nl := range []int{4, 8, 16, 32} {
 		sys, step := benchDecisionSystem(b, nl, 64)
@@ -127,11 +127,6 @@ func BenchmarkControllerDecision(b *testing.B) {
 			benchDecisionLoop(b, sys, step, linearScanOption(b, sys))
 		})
 	}
-	// Direct evaluation re-runs Best_Sched per candidate: keep it small.
-	sysD, stepD := benchDecisionSystem(b, 8, 8)
-	b.Run("levels-8/direct", func(b *testing.B) {
-		benchDecisionLoop(b, sysD, stepD, core.WithTables(false))
-	})
 }
 
 // benchRetargetSystem: an mpeg frame system with per-macroblock

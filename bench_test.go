@@ -213,7 +213,7 @@ func BenchmarkDecision(b *testing.B) {
 		}
 	})
 	b.Run("generic-tables", func(b *testing.B) {
-		ctrl, err := core.NewController(fs.Sys, core.WithTables(true))
+		ctrl, err := core.NewController(fs.Sys)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,31 +229,6 @@ func BenchmarkDecision(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctrl.Completed(fs.Sys.Cav.At(d.Level, d.Action))
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		// Direct evaluation re-runs Best_Sched per candidate level:
-		// use a small system to keep it tractable.
-		small, err := mpeg.BuildSystem(mpeg.SystemConfig{Macroblocks: 4, Budget: 4 * 1_000_000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl, err := core.NewController(small.Sys, core.WithTables(false))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if ctrl.Done() {
-				b.StopTimer()
-				ctrl.Reset()
-				b.StartTimer()
-			}
-			d, err := ctrl.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctrl.Completed(small.Sys.Cav.At(d.Level, d.Action))
 		}
 	})
 }

@@ -137,11 +137,6 @@ func run(cfg cliConfig, out io.Writer) error {
 			return nil
 		}
 		fmt.Fprintln(out, "feasible at qmin under worst-case times: hard control possible")
-		if sys.UniformDeadlines() {
-			fmt.Fprintln(out, "deadline order is quality-independent: precomputed tables available")
-		} else {
-			fmt.Fprintln(out, "deadline order depends on quality: controller will use direct evaluation")
-		}
 		return nil
 	case "schedule", "tables":
 		// The generation commands emit the prototype tool's artifacts
@@ -150,10 +145,7 @@ func run(cfg cliConfig, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ar, err := codegen.Generate(sys)
-		if err != nil {
-			return err
-		}
+		ar := codegen.Generate(sys)
 		if cfg.cmd == "schedule" {
 			return ar.WriteSchedule(out)
 		}

@@ -82,10 +82,7 @@ func run(modelPath, outDir string, stdout bool) error {
 	if err != nil {
 		return err
 	}
-	ar, err := codegen.Generate(sys)
-	if err != nil {
-		return err
-	}
+	ar := codegen.Generate(sys)
 	inst := ar.Instrumentation()
 	fmt.Printf("tablegen: %d actions, %d levels, %d table entries (%d bytes), ~%d bytes code\n",
 		len(ar.Alpha), len(ar.Sys.Levels), inst.TableEntries, inst.TableBytes, inst.CodeBytes)

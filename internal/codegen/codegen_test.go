@@ -3,6 +3,8 @@ package codegen
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,10 +165,7 @@ func TestBuildSystemFromTiny(t *testing.T) {
 }
 
 func TestGenerateArtifacts(t *testing.T) {
-	ar, err := Generate(build(t, tinyModel))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := Generate(build(t, tinyModel))
 	if len(ar.Alpha) != 2 {
 		t.Fatalf("schedule: %v", ar.Alpha)
 	}
@@ -201,20 +200,33 @@ func TestGenerateArtifacts(t *testing.T) {
 	}
 }
 
-func TestGenerateRejectsNonUniform(t *testing.T) {
-	src := `
-levels 0 1
-action a
-action b
-time a * 1 2
-time b * 1 2
-deadline a 0 10
-deadline a 1 50
-deadline b 0 50
-deadline b 1 10
-`
-	if _, err := Generate(build(t, src)); err == nil {
-		t.Fatal("non-uniform deadline order accepted")
+// TestGenerateAcceptsQualityDependentDeadlines: a model whose EDF order
+// changes with quality gets the schedule and tables its controller runs
+// on, core.NewProgram's α and core.NewTables along it.
+func TestGenerateAcceptsQualityDependentDeadlines(t *testing.T) {
+	b, err := session.LoadModel(filepath.Join("..", "..", "examples", "models", "crossing_deadlines.qos"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := len(sys.Levels) - 1
+	if slices.Equal(core.EDFSchedule(sys.Graph, sys.Cwc.AtIndex(0), sys.D.AtIndex(0)),
+		core.EDFSchedule(sys.Graph, sys.Cwc.AtIndex(top), sys.D.AtIndex(top))) {
+		t.Fatal("the model's EDF order does not depend on quality")
+	}
+	ar := Generate(sys)
+	p, err := core.NewProgram(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ar.Alpha, p.Schedule()) {
+		t.Fatalf("schedule %v, program's %v", ar.Alpha, p.Schedule())
+	}
+	if want := core.NewTables(sys, p.Schedule()); !reflect.DeepEqual(ar.Tables, want) || !reflect.DeepEqual(ar.Tables, p.Evaluator()) {
+		t.Fatal("emitted tables differ from core.NewTables along the program's schedule")
 	}
 }
 
@@ -248,10 +260,7 @@ func TestMPEGBodyModelFile(t *testing.T) {
 	if sys.Graph.Len() != 9*8 || b.Iterations() != 8 {
 		t.Fatalf("model shape: %d actions, iterate %d", sys.Graph.Len(), b.Iterations())
 	}
-	ar, err := Generate(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ar := Generate(sys)
 	if len(ar.Alpha) != 72 {
 		t.Fatalf("schedule length %d, want 72", len(ar.Alpha))
 	}

@@ -24,19 +24,17 @@ type Artifacts struct {
 }
 
 // Generate runs the tool pipeline of figure 4: schedule computation
-// (EDF at qmin) and table precomputation. It fails when the model's
-// deadline order depends on the quality level, the case the prototype
-// does not support (matching the paper).
-func Generate(sys *core.System) (*Artifacts, error) {
-	if !sys.UniformDeadlines() {
-		return nil, fmt.Errorf("codegen: deadline order depends on quality; the prototype tool requires quality-independent deadline order")
-	}
+// (EDF at qmin under worst-case times) and table precomputation along
+// that schedule, the α and tables core.NewProgram builds. A deadline
+// order that depends on the quality level needs nothing more: the
+// tables evaluate each level's deadlines along the one schedule.
+func Generate(sys *core.System) *Artifacts {
 	alpha := core.EDFSchedule(sys.Graph, sys.Cwc.AtIndex(0), sys.D.AtIndex(0))
 	return &Artifacts{
 		Sys:    sys,
 		Alpha:  alpha,
 		Tables: core.NewTables(sys, alpha),
-	}, nil
+	}
 }
 
 // WriteSchedule emits the schedule as a readable listing.

@@ -8,7 +8,7 @@ import (
 // chainSystem builds an n-action chain a0 → a1 → … with the given level
 // set, per-level execution cost (Cav = Cwc = cost[qi], identical for
 // every action) and per-action deadline D(a_i) = (i+1)·deadlineStep at
-// every level (quality-independent order: the table fast path applies).
+// every level.
 func chainSystem(t *testing.T, levels LevelSet, cost []Cycles, n int, deadlineStep Cycles) *System {
 	t.Helper()
 	if len(cost) != len(levels) {
@@ -53,32 +53,30 @@ func chainSystem(t *testing.T, levels LevelSet, cost []Cycles, n int, deadlineSt
 func TestSparseLevelIndexAccounting(t *testing.T) {
 	levels := LevelSet{0, 2, 5}
 	sys := chainSystem(t, levels, []Cycles{1, 5, 9}, 4, 1000)
-	for _, tables := range []bool{true, false} {
-		c := mustController(t, sys, WithTables(tables))
-		var decided []Level
-		res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
-			decided = append(decided, q)
-			return sys.Cav.At(q, a)
-		})
-		if err != nil {
-			t.Fatal(err)
+	c := mustController(t, sys)
+	var decided []Level
+	res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+		decided = append(decided, q)
+		return sys.Cav.At(q, a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deadlines are generous: the top level (value 5, index 2) is
+	// chosen for every action.
+	for i, q := range decided {
+		if q != 5 || levels.Index(q) != 2 {
+			t.Errorf("step %d: level=%d index=%d, want 5/2", i, q, levels.Index(q))
 		}
-		// Deadlines are generous: the top level (value 5, index 2) is
-		// chosen for every action.
-		for i, q := range decided {
-			if q != 5 || levels.Index(q) != 2 {
-				t.Errorf("tables=%v step %d: level=%d index=%d, want 5/2", tables, i, q, levels.Index(q))
-			}
-		}
-		if got := res.Stats.LevelSum; got != 2*4 {
-			t.Errorf("tables=%v LevelSum = %d, want 8 (index sum), not the value sum 20", tables, got)
-		}
-		if got := res.MeanLevel(); got != 2 {
-			t.Errorf("tables=%v MeanLevel = %v, want 2 (top index)", tables, got)
-		}
-		if res.Misses != 0 || res.Fallbacks != 0 {
-			t.Errorf("tables=%v misses=%d fallbacks=%d", tables, res.Misses, res.Fallbacks)
-		}
+	}
+	if got := res.Stats.LevelSum; got != 2*4 {
+		t.Errorf("LevelSum = %d, want 8 (index sum), not the value sum 20", got)
+	}
+	if got := res.MeanLevel(); got != 2 {
+		t.Errorf("MeanLevel = %v, want 2 (top index)", got)
+	}
+	if res.Misses != 0 || res.Fallbacks != 0 {
+		t.Errorf("misses=%d fallbacks=%d", res.Misses, res.Fallbacks)
 	}
 }
 
@@ -102,33 +100,31 @@ func TestSparseLevelMissAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(5))
-	for _, tables := range []bool{true, false} {
-		c := mustController(t, sys, WithTables(tables))
-		missesAt := make([]int, len(levels))
-		for run := 0; run < 200; run++ {
-			c.Reset()
-			var elapsed Cycles
-			want := 0
-			res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
-				actual := Cycles(r.Intn(19))
-				elapsed += actual
-				if d := sys.D.At(q, a); !d.IsInf() && elapsed > d {
-					want++
-					missesAt[levels.Index(q)]++
-				}
-				return actual
-			})
-			if err != nil {
-				t.Fatal(err)
+	c := mustController(t, sys)
+	missesAt := make([]int, len(levels))
+	for run := 0; run < 200; run++ {
+		c.Reset()
+		var elapsed Cycles
+		want := 0
+		res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+			actual := Cycles(r.Intn(19))
+			elapsed += actual
+			if d := sys.D.At(q, a); !d.IsInf() && elapsed > d {
+				want++
+				missesAt[levels.Index(q)]++
 			}
-			if res.Misses != want {
-				t.Fatalf("tables=%v run %d: RunCycle counted %d misses, D.At(Level) counts %d", tables, run, res.Misses, want)
-			}
+			return actual
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for qi, m := range missesAt {
-			if m == 0 {
-				t.Errorf("tables=%v: no miss at level %d (index %d); the test does not pin its deadline read", tables, levels[qi], qi)
-			}
+		if res.Misses != want {
+			t.Fatalf("run %d: RunCycle counted %d misses, D.At(Level) counts %d", run, res.Misses, want)
+		}
+	}
+	for qi, m := range missesAt {
+		if m == 0 {
+			t.Errorf("no miss at level %d (index %d); the test does not pin its deadline read", levels[qi], qi)
 		}
 	}
 }
@@ -191,30 +187,28 @@ func TestFallbackResetsSmoothnessBaseline(t *testing.T) {
 		{Action: 2, Level: 2, LevelIndex: 2},
 		{Action: 3, Level: 2, LevelIndex: 2},
 	}
-	for _, tables := range []bool{true, false} {
-		c := mustController(t, sys, WithMaxStep(1), WithTables(tables))
-		for i, actual := range actuals {
-			d, err := c.Next()
-			if err != nil {
-				t.Fatalf("tables=%v step %d: %v", tables, i, err)
-			}
-			if d != want[i] {
-				t.Errorf("tables=%v step %d: decision %+v, want %+v", tables, i, d, want[i])
-			}
-			c.Completed(actual)
+	c := mustController(t, sys, WithMaxStep(1))
+	for i, actual := range actuals {
+		d, err := c.Next()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
 		}
-		if !c.Done() {
-			t.Fatalf("tables=%v: cycle not done", tables)
+		if d != want[i] {
+			t.Errorf("step %d: decision %+v, want %+v", i, d, want[i])
 		}
-		st := c.Stats()
-		if st.Fallbacks != 1 {
-			t.Errorf("tables=%v fallbacks = %d, want 1", tables, st.Fallbacks)
-		}
-		// Indexes 2+0+2+2; the value sum happens to agree here because
-		// the set is contiguous.
-		if st.LevelSum != 6 {
-			t.Errorf("tables=%v LevelSum = %d, want 6", tables, st.LevelSum)
-		}
+		c.Completed(actual)
+	}
+	if !c.Done() {
+		t.Fatalf("cycle not done")
+	}
+	st := c.Stats()
+	if st.Fallbacks != 1 {
+		t.Errorf("fallbacks = %d, want 1", st.Fallbacks)
+	}
+	// Indexes 2+0+2+2; the value sum happens to agree here because
+	// the set is contiguous.
+	if st.LevelSum != 6 {
+		t.Errorf("LevelSum = %d, want 6", st.LevelSum)
 	}
 }
 

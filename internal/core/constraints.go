@@ -8,15 +8,16 @@ package core
 //	    with θ'(α(j)) = qmin for j > i+1, θ' = θ elsewhere
 //	Qual_Const = Qual_Const^av ∧ Qual_Const^wc
 //
-// Both a direct evaluation (general case) and precomputed suffix-slack
-// tables (the prototype tool's fast path, valid when the deadline order
-// is independent of quality) are provided.
+// The controller decides on precomputed suffix-slack tables along its
+// fixed schedule α (the prototype tool's fast path, figure 4). The
+// direct evaluations below, with BestSched, are the paper's operators
+// as written; tests hold the tables to them.
 
 // QualConstAv evaluates the average-time (optimality) constraint for the
-// remaining suffix alpha[i:] under assignment theta at elapsed time t.
-func QualConstAv(s *System, alpha []ActionID, theta Assignment, t Cycles, i int) bool {
-	c := s.Cav.ForAssignment(theta)
-	d := s.D.ForAssignment(theta)
+// remaining suffix alpha[i:] under assignment asg at elapsed time t.
+func QualConstAv(s *System, alpha []ActionID, asg Assignment, t Cycles, i int) bool {
+	c := s.Cav.ForAssignment(asg)
+	d := s.D.ForAssignment(asg)
 	return MinSlack(alpha[i:], c, d, t) >= 0
 }
 
@@ -25,14 +26,14 @@ func QualConstAv(s *System, alpha []ActionID, theta Assignment, t Cycles, i int)
 // after it fall back to qmin; every deadline of the suffix must still be
 // met. This guarantees the controller can always retreat to minimal
 // quality without missing a deadline.
-func QualConstWc(s *System, alpha []ActionID, theta Assignment, t Cycles, i int) bool {
-	thetaP := theta.Clone()
+func QualConstWc(s *System, alpha []ActionID, asg Assignment, t Cycles, i int) bool {
+	asgWc := asg.Clone()
 	qmin := s.QMin()
 	for j := i + 1; j < len(alpha); j++ {
-		thetaP[alpha[j]] = qmin
+		asgWc[alpha[j]] = qmin
 	}
-	c := s.Cwc.ForAssignment(thetaP)
-	d := s.D.ForAssignment(thetaP)
+	c := s.Cwc.ForAssignment(asgWc)
+	d := s.D.ForAssignment(asgWc)
 	// Soft deadlines are excluded from the safety constraint: only the
 	// average constraint speaks for them (paper §4).
 	if s.Soft != nil {
@@ -47,16 +48,16 @@ func QualConstWc(s *System, alpha []ActionID, theta Assignment, t Cycles, i int)
 }
 
 // QualConst is the conjunction of the average and worst-case constraints.
-func QualConst(s *System, alpha []ActionID, theta Assignment, t Cycles, i int) bool {
-	return QualConstAv(s, alpha, theta, t, i) && QualConstWc(s, alpha, theta, t, i)
+func QualConst(s *System, alpha []ActionID, asg Assignment, t Cycles, i int) bool {
+	return QualConstAv(s, alpha, asg, t, i) && QualConstWc(s, alpha, asg, t, i)
 }
 
 // Tables holds the precomputed values used by the generated controller
 // (figure 4: "tables containing pre-computed values used by the
 // controller for the computation of Qual_Const^av and Qual_Const^wc").
 //
-// For a fixed schedule order alpha (legal when the deadline order is
-// quality-independent), define for each level q and position i:
+// For a fixed schedule order alpha, feasible at qmin under worst-case
+// times, define for each level q and position i:
 //
 //	SlackAv(q, i) = min_{j≥i} ( D_q(α(j)) − Σ_{k=i..j} Cav_q(α(k)) )
 //	SlackWc(q, i) = min( D_q(α(i)),  WcQminSlack[i+1] ) − Cwc_q(α(i))

@@ -40,11 +40,6 @@ func WithMode(m Mode) Option { return func(p *Program) { p.mode = m } }
 // safety is never compromised). k <= 0 means unbounded.
 func WithMaxStep(k int) Option { return func(p *Program) { p.maxStep = k } }
 
-// WithTables forces (true) or forbids (false) the precomputed-table fast
-// path. By default tables are used when the system has quality-
-// independent deadline order.
-func WithTables(use bool) Option { return func(p *Program) { p.forceTables = boolPtr(use) } }
-
 // WithSchedule fixes the schedule order instead of the EDF order computed
 // at qmin. The sequence must be a schedule of the system's graph.
 func WithSchedule(alpha []ActionID) Option {
@@ -62,8 +57,6 @@ func WithEvaluator(ev Evaluator, order []ActionID) Option {
 	}
 }
 
-func boolPtr(b bool) *bool { return &b }
-
 // Decision is the controller's choice for one step: run Action at quality
 // Level. LevelIndex is Level's position in the system's ordered level
 // set — the value quality accounting should use, since level *values*
@@ -78,8 +71,8 @@ type Decision struct {
 }
 
 // Program is the immutable, precomputed part of a controller: the
-// validated system, the control configuration, the schedule order at
-// qmin and the precomputed constraint tables. A Program is built once
+// validated system, the control configuration, the schedule order α and
+// the constraint tables along it. A Program is built once
 // (NewProgram) and can then instantiate any number of Controllers, each
 // carrying only the cheap per-cycle mutable state — this is what lets
 // one system serve many concurrent streams: the expensive state is
@@ -95,25 +88,27 @@ type Program struct {
 	mode    Mode
 	maxStep int
 
-	forceTables *bool
-	fixedAlpha  []ActionID
+	fixedAlpha []ActionID
 
-	// useTables selects the evaluator path; otherwise every decision
-	// re-derives Best_Sched per candidate level (allowedDirect).
-	useTables bool
-	eval      Evaluator
-	// tables is eval when it is the generic *Tables, else nil; NewProgram
-	// sets it once. The decision step calls it concretely: only custom
-	// evaluators (IterativeTables, test oracles) decide through eval.
+	// eval is the constraint tables along alpha, or the custom evaluator
+	// WithEvaluator installed. tables is eval when it is the generic
+	// *Tables, else nil; NewProgram sets it once. The decision step
+	// calls it concretely: only custom evaluators (IterativeTables, test
+	// oracles) decide through eval.
+	eval   Evaluator
 	tables *Tables
 
-	alpha []ActionID // schedule order at qmin; never mutated after build
+	alpha []ActionID // schedule order α; never mutated after build
 }
 
 // NewProgram validates the system against the control configuration and
-// precomputes the schedule and constraint tables. In Hard mode the
-// system must be schedulable at minimal quality under worst-case times
-// (the problem's precondition); otherwise an error is returned.
+// precomputes the schedule α (the EDF order at qmin under worst-case
+// times, unless WithSchedule fixes it) and the constraint tables along
+// α. In Hard mode the system must be schedulable at minimal quality
+// under worst-case times (the problem's precondition); otherwise an
+// error is returned. That precondition is all Proposition 2.1 asks of
+// α, so the tables serve every deadline family, also one whose EDF
+// order changes with quality.
 func NewProgram(sys *System, opts ...Option) (*Program, error) {
 	p := &Program{sys: sys, maxStep: 0}
 	for _, opt := range opts {
@@ -148,22 +143,8 @@ func NewProgram(sys *System, opts ...Option) (*Program, error) {
 	} else {
 		p.alpha = EDFSchedule(sys.Graph, cwc, d)
 	}
-	if p.eval != nil {
-		// A custom evaluator (e.g. IterativeTables) implies the table
-		// fast path along the supplied order.
-		p.useTables = true
-	} else {
-		uniform := sys.UniformDeadlines()
-		p.useTables = uniform
-		if p.forceTables != nil {
-			if *p.forceTables && !uniform {
-				return nil, errors.New("core: tables requested but deadline order depends on quality")
-			}
-			p.useTables = *p.forceTables
-		}
-		if p.useTables {
-			p.eval = NewTables(sys, p.alpha)
-		}
+	if p.eval == nil {
+		p.eval = NewTables(sys, p.alpha)
 	}
 	p.tables, _ = p.eval.(*Tables)
 	return p, nil
@@ -175,19 +156,15 @@ func (p *Program) System() *System { return p.sys }
 // Mode returns the constraint mode the program enforces.
 func (p *Program) Mode() Mode { return p.mode }
 
-// UsesTables reports whether decisions run on the precomputed-table fast
-// path.
-func (p *Program) UsesTables() bool { return p.useTables }
-
-// Evaluator returns the admissibility evaluator (nil on the direct
-// path).
+// Evaluator returns the admissibility evaluator: the constraint tables
+// along the schedule, or the custom evaluator WithEvaluator installed.
 func (p *Program) Evaluator() Evaluator { return p.eval }
 
 // Schedule returns a copy of the precomputed schedule order.
 func (p *Program) Schedule() []ActionID { return append([]ActionID(nil), p.alpha...) }
 
 // NewController instantiates the per-stream mutable state over the
-// shared precomputed program. The allocation is O(|A|); everything
+// shared precomputed program: one fixed-size allocation; everything
 // expensive (validation, EDF schedule, tables) is shared.
 func (p *Program) NewController() *Controller {
 	c := new(Controller)
@@ -198,19 +175,18 @@ func (p *Program) NewController() *Controller {
 // InitController makes *c a fresh controller over p, at a cycle
 // boundary, whatever it held before. It is NewController in the
 // caller's memory: a caller that keeps a Controller by value beside its
-// own per-stream state allocates only θ here, O(|A|).
+// own per-stream state allocates nothing here.
 func (p *Program) InitController(c *Controller) {
 	*c = Controller{prog: p}
-	// θ is filled with qmin once, here; resetOver leaves it alone (see
-	// there for why no cycle reads a stale entry).
-	c.theta = NewAssignment(p.sys.Graph.Len(), p.sys.QMin())
 	c.resetOver(p)
 }
 
-// Controller incrementally computes a schedule α and quality assignment θ
-// for one cycle, per the abstract control algorithm of section 2.2. Use
-// Next to obtain the decision for the coming action and Completed to
-// report its observed completion time; repeat until Done.
+// Controller runs one cycle along its program's schedule α and chooses
+// each action's quality level, per the abstract control algorithm of
+// section 2.2. Use Next to obtain the decision for the coming action and
+// Completed to report its observed completion time; repeat until Done.
+// The quality assignment θ is the sequence of decisions: an observer
+// (RunCycleObserved) or the caller of Next records it when needed.
 //
 // A Controller is the cheap, per-stream half of the Program/Controller
 // split: it holds only the cycle's mutable state and reads everything
@@ -220,12 +196,9 @@ func (p *Program) InitController(c *Controller) {
 type Controller struct {
 	prog *Program
 
-	// alpha aliases prog.alpha on the table path (where the order is
-	// fixed and read-only) and is a private working copy on the direct
-	// path (where Best_Sched re-derives the suffix per decision).
+	// alpha aliases prog.alpha (read-only), so that the decision step
+	// reads the order without going through prog.
 	alpha []ActionID
-	theta Assignment // committed levels for executed positions
-	tail  Level      // implicit level of all unexecuted positions
 	i     int
 	t     Cycles
 	last  int // level *index* of the previous sustained decision; -1 = none
@@ -238,12 +211,12 @@ type Controller struct {
 	// _ pads the struct to 192 bytes, three 64-byte cache lines.
 	// Controllers of concurrent streams sit side by side in the heap
 	// and are written on every decision from different goroutines;
-	// unpadded (144 bytes) one instance's stats share a cache line with
+	// unpadded (104 bytes) one instance's stats share a cache line with
 	// the next instance's prog and alpha, which every decision reads.
 	// Measured on a 2-vCPU VM (qosbench embedded, seed 42, 2 pairs):
 	// without the pad the ladder's two adjacent sessions cycling at
 	// once (mixer.contended_cycle_ns) take 13.1 µs against 8.2 µs.
-	_ [56]byte
+	_ [88]byte
 }
 
 // ControllerStats accumulates per-cycle controller behaviour.
@@ -253,11 +226,10 @@ type ControllerStats struct {
 	LevelSum     int64 // sum of chosen level *indexes* (for mean quality)
 	LevelChanges int   // decisions that changed level vs previous action
 	// CandidateEval counts admissibility probes: the probe count the
-	// evaluator's MaxAdmissibleLevel reports on the table path (1 when
-	// the top candidate is admissible, ≈ log₂|Q| otherwise for Tables
-	// and IterativeTables — NOT the number of levels skipped), and the
-	// number of candidate levels evaluated on the direct path. Either
-	// way it measures admission work per decision.
+	// evaluator's MaxAdmissibleLevel reports (1 when the top candidate
+	// is admissible, ≈ log₂|Q| otherwise for Tables and IterativeTables
+	// — NOT the number of levels skipped). It measures admission work
+	// per decision.
 	CandidateEval int
 }
 
@@ -282,28 +254,8 @@ func (c *Controller) System() *System { return c.prog.sys }
 
 // resetOver (re)initialises the mutable state for a fresh cycle over
 // program p.
-//
-// θ is deliberately not refilled: entries left by the previous cycle
-// are never read. Every executed position's entry is written by its own
-// decision in the current cycle before the position advances;
-// Assignment reads tail for every position at or after i; and
-// allowedDirect evaluates θ ▷_i q, which overrides the same positions
-// (OverrideFrom). So entries of positions before i are this cycle's and
-// the rest are masked.
 func (c *Controller) resetOver(p *Program) {
-	if p.useTables {
-		c.alpha = p.alpha
-	} else {
-		// The direct path permutes the suffix in place (Best_Sched);
-		// restore the baseline order so reused instances are
-		// indistinguishable from fresh ones.
-		if len(c.alpha) != len(p.alpha) || &c.alpha[0] == &p.alpha[0] {
-			c.alpha = append([]ActionID(nil), p.alpha...)
-		} else {
-			copy(c.alpha, p.alpha)
-		}
-	}
-	c.tail = p.sys.QMin()
+	c.alpha = p.alpha
 	c.i = 0
 	c.t = 0
 	c.last = -1
@@ -319,13 +271,11 @@ func (c *Controller) Reset() { c.resetOver(c.prog) }
 // cycle boundary (Reset or Done).
 //
 // It builds a fresh private Program through NewProgram with the same
-// mode, maximal step, evaluation path and fixed schedule, so every
-// construction-time check applies; WithTables pins the previous
-// evaluation path (a retarget that makes tables impossible is an
-// error, not a silent downgrade to direct evaluation). The controller
-// forks off its previous Program; other controllers sharing it are
-// unaffected. d is used as given, not copied: a caller that rewrites
-// it in place must Retarget again before the next cycle.
+// mode, maximal step and fixed schedule, so every construction-time
+// check applies. The controller forks off its previous Program; other
+// controllers sharing it are unaffected. d is used as given, not
+// copied: a caller that rewrites it in place must Retarget again before
+// the next cycle.
 func (c *Controller) Retarget(d *TimeFamily) error {
 	if d == nil {
 		return errors.New("core: Retarget with a nil deadline family")
@@ -333,7 +283,7 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	if c.i != 0 && !c.Done() {
 		return errors.New("core: Retarget mid-cycle")
 	}
-	if c.prog.eval != nil && c.prog.tables == nil {
+	if c.prog.tables == nil {
 		return errors.New("core: Retarget with a custom evaluator; re-target the evaluator instead")
 	}
 	sys := *c.prog.sys
@@ -341,11 +291,7 @@ func (c *Controller) Retarget(d *TimeFamily) error {
 	if err := sys.Validate(); err != nil {
 		return err
 	}
-	opts := []Option{
-		WithMode(c.prog.mode),
-		WithMaxStep(c.prog.maxStep),
-		WithTables(c.prog.useTables),
-	}
+	opts := []Option{WithMode(c.prog.mode), WithMaxStep(c.prog.maxStep)}
 	if c.prog.fixedAlpha != nil {
 		opts = append(opts, WithSchedule(c.prog.fixedAlpha))
 	}
@@ -378,28 +324,17 @@ func (c *Controller) Elapsed() Cycles { return c.t }
 // Position returns the number of completed actions.
 func (c *Controller) Position() int { return c.i }
 
-// Schedule returns the schedule α computed so far (complete order).
+// Schedule returns a copy of the schedule α the controller runs.
 func (c *Controller) Schedule() []ActionID { return append([]ActionID(nil), c.alpha...) }
-
-// Assignment returns a copy of the current quality assignment θ:
-// committed levels for executed positions, the current tail level for
-// the rest.
-func (c *Controller) Assignment() Assignment {
-	out := c.theta.Clone()
-	for j := c.i; j < len(c.alpha); j++ {
-		out[c.alpha[j]] = c.tail
-	}
-	return out
-}
 
 // Stats returns the statistics accumulated since the last Reset.
 func (c *Controller) Stats() ControllerStats { return c.stats }
 
 // Next computes the decision for the coming action: the maximal quality
 // level admissible at the current elapsed time. It implements one
-// iteration of the abstract algorithm: build θ_q = θ ▷_i q for each q,
-// compute α_q = Best_Sched(α, θ_q, i), and take qM = max{q |
-// Qual_Const(α_q, θ_q, t, i)}.
+// iteration of the abstract algorithm along the fixed schedule α: qM =
+// max{q | Qual_Const(α, θ ▷_i q, t, i)}, read from the precomputed
+// tables.
 //
 //qos:hotpath
 func (c *Controller) Next() (Decision, error) {
@@ -418,25 +353,15 @@ func (c *Controller) decide() Decision {
 	if p.maxStep > 0 && last >= 0 && last+p.maxStep < hi {
 		hi = last + p.maxStep
 	}
-	chosen, probes := -1, 0
-	if p.useTables {
-		// The evaluator yields the maximal admissible level directly
-		// (O(log|Q|) probes over the precomputed slack thresholds; zero
-		// allocations). The generic tables are called concretely; only
-		// a custom evaluator pays the interface call.
-		if tb := p.tables; tb != nil {
-			chosen, probes = tb.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
-		} else {
-			chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
-		}
+	// The evaluator yields the maximal admissible level directly
+	// (O(log|Q|) probes over the precomputed slack thresholds; zero
+	// allocations). The generic tables are called concretely; only a
+	// custom evaluator pays the interface call.
+	var chosen, probes int
+	if tb := p.tables; tb != nil {
+		chosen, probes = tb.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
 	} else {
-		for qi := hi; qi >= 0; qi-- {
-			probes++
-			if c.allowedDirect(qi) { //qos:alloc-ok live path when deadline order depends on quality: no fixed order to precompute tables along, so each probe re-derives Best_Sched
-				chosen = qi
-				break
-			}
-		}
+		chosen, probes = p.eval.MaxAdmissibleLevel(c.i, hi, c.t, p.mode == Soft)
 	}
 	st := &c.stats
 	st.Decisions++
@@ -449,15 +374,7 @@ func (c *Controller) decide() Decision {
 		d.Fallback = true
 		st.Fallbacks++
 	}
-	q := levels[chosen]
-	// Commit: θ := θ ▷_i qM. Only the executed action's level needs to
-	// be materialised; the tail is implicitly at qM (tracked in c.tail)
-	// and is overridden anyway by the next decision's θ ▷ q. α is
-	// unchanged (table path) or was re-derived by Best_Sched in
-	// allowedDirect (direct path).
-	c.theta[d.Action] = q
-	c.tail = q
-	d.Level = q
+	d.Level = levels[chosen]
 	d.LevelIndex = chosen
 	if last >= 0 && chosen != last {
 		st.LevelChanges++
@@ -472,24 +389,6 @@ func (c *Controller) decide() Decision {
 	}
 	c.last = chosen
 	return d
-}
-
-func (c *Controller) allowedDirect(qi int) bool {
-	s := c.prog.sys
-	q := s.Levels[qi]
-	thetaQ := c.theta.OverrideFrom(c.alpha, c.i, q)
-	alphaQ := BestSched(s, c.alpha, thetaQ, c.i)
-	var ok bool
-	if c.prog.mode == Soft {
-		ok = QualConstAv(s, alphaQ, thetaQ, c.t, c.i)
-	} else {
-		ok = QualConstAv(s, alphaQ, thetaQ, c.t, c.i) &&
-			QualConstWc(s, alphaQ, thetaQ, c.t, c.i)
-	}
-	if ok {
-		copy(c.alpha[c.i:], alphaQ[c.i:])
-	}
-	return ok
 }
 
 // Completed reports that the action returned by the last Next finished
@@ -602,9 +501,9 @@ func (c *Controller) RunFunc(exec func(ActionID, Level) Cycles) (CycleResult, er
 	return RunCycleLeanWith(c, exec)
 }
 
-// CycleResult summarises one controlled cycle. The realised schedule
-// and assignment stay readable on the controller (Schedule, Assignment)
-// until its next Reset.
+// CycleResult summarises one controlled cycle. The decisions reach the
+// cycle's StepObserver; the schedule stays readable on the controller
+// (Schedule).
 type CycleResult struct {
 	Steps     int // actions executed this cycle
 	Elapsed   Cycles

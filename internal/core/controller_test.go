@@ -8,33 +8,27 @@ import (
 
 // Proposition 2.1 (safety): for any system feasible at qmin under worst
 // case, and any actual execution times C <= Cwc_θ, the controlled run
-// misses no deadline. Exercised over random systems, random loads, both
-// evaluator paths.
+// misses no deadline. Exercised over random systems and random loads on
+// the tables along the schedule α.
 func TestPropertyProposition21Safety(t *testing.T) {
-	for _, useTables := range []bool{true, false} {
-		name := "direct"
-		if useTables {
-			name = "tables"
+	t.Run("tables", func(t *testing.T) {
+		f := func(seed int64, overloadRaw uint8) bool {
+			r := rand.New(rand.NewSource(seed))
+			sys := randomSystem(r, 8, 5)
+			c := mustControllerQ(t, sys)
+			overload := float64(overloadRaw%100) / 100
+			res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
+				return actualDraw(r, sys, a, q, overload)
+			})
+			if err != nil {
+				return false
+			}
+			return res.Misses == 0
 		}
-		t.Run(name, func(t *testing.T) {
-			f := func(seed int64, overloadRaw uint8) bool {
-				r := rand.New(rand.NewSource(seed))
-				sys := randomSystem(r, 8, 5)
-				c := mustControllerQ(t, sys, WithTables(useTables))
-				overload := float64(overloadRaw%100) / 100
-				res, err := c.RunCycle(func(a ActionID, q Level) Cycles {
-					return actualDraw(r, sys, a, q, overload)
-				})
-				if err != nil {
-					return false
-				}
-				return res.Misses == 0
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // mustControllerQ is mustController usable inside quick closures.
@@ -66,57 +60,104 @@ func TestPropertySafetyAtFullWorstCase(t *testing.T) {
 }
 
 // Optimality: every decision picks the maximum level admitted by
-// Qual_Const, verified independently with the direct predicates. The
-// table path evaluates constraints along its fixed schedule order; the
-// direct path re-derives Best_Sched per candidate level — the
-// independent check mirrors whichever path is active.
+// Qual_Const along the schedule α, verified independently with the
+// direct predicates over θ ▷_i q, where θ holds the levels decided so
+// far.
 func TestPropertyDecisionIsMaximalAdmissible(t *testing.T) {
-	for _, useTables := range []bool{true, false} {
-		name := "direct"
-		if useTables {
-			name = "tables"
+	t.Run("tables", func(t *testing.T) {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			sys := randomSystem(r, 7, 5)
+			c := mustControllerQ(t, sys)
+			return decisionsMaximal(sys, c, Hard, func(d Decision) Cycles {
+				return actualDraw(r, sys, d.Action, d.Level, 0.3)
+			})
 		}
-		t.Run(name, func(t *testing.T) {
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				sys := randomSystem(r, 7, 5)
-				c := mustControllerQ(t, sys, WithTables(useTables))
-				for !c.Done() {
-					i := c.Position()
-					tNow := c.Elapsed()
-					alpha := c.Schedule()
-					theta := c.Assignment()
-					d, err := c.Next()
-					if err != nil {
-						return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// decisionsMaximal runs c through one cycle, completing each decision
+// after cost(d) cycles, and reports whether every decision was the
+// maximal level q with Qual_Const^av (and, in Hard mode, Qual_Const^wc)
+// along α at θ ▷_i q, θ being the levels decided so far. In Hard mode an
+// admissible level must exist at every step, as Proposition 2.1's
+// inductive invariant asserts under the contract; in Soft mode a step
+// without one must fall back to qmin.
+func decisionsMaximal(sys *System, c *Controller, mode Mode, cost func(Decision) Cycles) bool {
+	alpha := c.Schedule()
+	theta := NewAssignment(sys.Graph.Len(), sys.QMin())
+	for !c.Done() {
+		i, tNow := c.Position(), c.Elapsed()
+		d, err := c.Next()
+		if err != nil {
+			return false
+		}
+		best := Level(-1)
+		for _, q := range sys.Levels {
+			thetaQ := theta.OverrideFrom(alpha, i, q)
+			if QualConstAv(sys, alpha, thetaQ, tNow, i) &&
+				(mode == Soft || QualConstWc(sys, alpha, thetaQ, tNow, i)) {
+				best = q
+			}
+		}
+		if best < 0 {
+			if mode == Hard || !d.Fallback || d.Level != sys.QMin() {
+				return false
+			}
+		} else if d.Level != best || d.Fallback {
+			return false
+		}
+		theta[d.Action] = d.Level
+		c.Completed(cost(d))
+	}
+	return true
+}
+
+// TestPropertyQualityDependentDeadlines runs the tables on random
+// systems whose deadline order may change with quality, as
+// randomQualitySystem builds them, for a few cycles each with costs
+// inside [Cav, Cwc] of the decided level. The schedule is the EDF order
+// at qmin, whatever the order at other levels. In Hard mode no deadline
+// is missed (Proposition 2.1 needs only that α be feasible at qmin); in
+// both modes every decision is the maximal level Qual_Const admits
+// along α. A quarter of the systems at least must have an EDF order
+// that changes with quality.
+func TestPropertyQualityDependentDeadlines(t *testing.T) {
+	const systems = 400
+	crossing := 0
+	for seed := int64(1); seed <= systems; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		sys := randomQualitySystem(r, 8, 5)
+		if edfOrderDependsOnQuality(sys) {
+			crossing++
+		}
+		for _, mode := range []Mode{Hard, Soft} {
+			c := mustController(t, sys, WithMode(mode))
+			for cycle := 0; cycle < 4; cycle++ {
+				c.Reset()
+				misses := 0
+				maximal := decisionsMaximal(sys, c, mode, func(d Decision) Cycles {
+					av, wc := sys.Cav.At(d.Level, d.Action), sys.Cwc.At(d.Level, d.Action)
+					cost := av + Cycles(r.Int63n(int64(wc-av)+1))
+					if dl := sys.D.At(d.Level, d.Action); !dl.IsInf() && c.Elapsed()+cost > dl {
+						misses++
 					}
-					// Independent recomputation of qM.
-					best := Level(-1)
-					for _, q := range sys.Levels {
-						thetaQ := theta.OverrideFrom(alpha, i, q)
-						alphaQ := alpha
-						if !useTables {
-							alphaQ = BestSched(sys, alpha, thetaQ, i)
-						}
-						if QualConstAv(sys, alphaQ, thetaQ, tNow, i) &&
-							QualConstWc(sys, alphaQ, thetaQ, tNow, i) {
-							best = q
-						}
-					}
-					if best < 0 {
-						return false // contradicts Prop 2.1 inductive invariant
-					}
-					if d.Level != best {
-						return false
-					}
-					c.Completed(actualDraw(r, sys, d.Action, d.Level, 0.3))
+					return cost
+				})
+				if !maximal {
+					t.Fatalf("seed %d %v cycle %d: a decision was not the maximal admissible level", seed, mode, cycle)
 				}
-				return true
+				if mode == Hard && misses != 0 {
+					t.Fatalf("seed %d cycle %d: %d misses in Hard mode under the contract", seed, cycle, misses)
+				}
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+	}
+	if 4*crossing < systems {
+		t.Fatalf("only %d of %d systems have an EDF order that changes with quality", crossing, systems)
 	}
 }
 
@@ -326,30 +367,6 @@ func TestWithScheduleRejectsInvalid(t *testing.T) {
 	sys := tinySystem(t)
 	if _, err := NewController(sys, WithSchedule([]ActionID{1, 0})); err == nil {
 		t.Fatal("invalid fixed schedule accepted")
-	}
-}
-
-func TestWithTablesRejectsNonUniform(t *testing.T) {
-	sys := tinySystem(t)
-	// Make deadline order depend on quality: at level 0 a before b, at
-	// level 1 b before a.
-	d := NewTimeFamily(sys.Levels, 2, 0)
-	d.Set(0, 0, 50)
-	d.Set(0, 1, 100)
-	d.Set(1, 0, 100)
-	d.Set(1, 1, 50)
-	ns := *sys
-	ns.D = d
-	if _, err := NewController(&ns, WithTables(true)); err == nil {
-		t.Fatal("tables forced on non-uniform deadlines accepted")
-	}
-	// Unforced construction must auto-select the direct path.
-	c, err := NewController(&ns, WithMode(Soft))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.prog.useTables {
-		t.Fatal("controller chose tables for non-uniform deadline order")
 	}
 }
 

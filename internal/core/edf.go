@@ -127,11 +127,11 @@ func edfFrom(g *Graph, dstar TimeFn, prefix []ActionID) []ActionID {
 }
 
 // BestSched computes the Scheduler's step: given the current schedule
-// alpha, a candidate assignment theta, and the number i of already
+// alpha, a candidate assignment asg, and the number i of already
 // executed actions, it returns a schedule that agrees with alpha on the
 // first i positions and orders the rest by EDF under Cwc_θ and D_θ.
-func BestSched(s *System, alpha []ActionID, theta Assignment, i int) []ActionID {
-	c := s.Cwc.ForAssignment(theta)
-	d := s.D.ForAssignment(theta)
+func BestSched(s *System, alpha []ActionID, asg Assignment, i int) []ActionID {
+	c := s.Cwc.ForAssignment(asg)
+	d := s.D.ForAssignment(asg)
 	return EDFCompleteFrom(s.Graph, c, d, alpha[:i])
 }

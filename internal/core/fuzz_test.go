@@ -174,9 +174,8 @@ func FuzzMulSat(f *testing.F) {
 }
 
 // shiftFuzzSystem is a small fixed 3-action chain with 2 levels and
-// finite deadlines, feasible at qmin — the table path applies and
-// WcQminSlack[0] is finite, so a displaced family's feasibility is
-// non-trivial.
+// finite deadlines, feasible at qmin: WcQminSlack[0] is finite, so a
+// displaced family's feasibility is non-trivial.
 func shiftFuzzSystem() *System {
 	b := NewGraphBuilder()
 	b.AddAction("a")
@@ -214,16 +213,16 @@ func shiftFuzzSystem() *System {
 // grows or shrinks; saturated entries become +Inf). On every Retarget:
 // a rejected family leaves the controller untouched (program, deadlines
 // and position); an accepted one installs exactly that family at a
-// cycle start, keeps the table path, keeps minimal quality feasible
-// (WcQminSlack[0] >= 0) and runs a worst-case cycle with no miss and
-// no fallback. A Retarget mid-cycle is rejected.
+// cycle start, keeps minimal quality feasible (WcQminSlack[0] >= 0)
+// and runs a worst-case cycle with no miss and no fallback. A Retarget
+// mid-cycle is rejected.
 func FuzzShiftRetarget(f *testing.F) {
 	f.Add([]byte{0, 10, 255})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x7F})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		sys := shiftFuzzSystem()
-		c, err := NewController(sys, WithMode(Hard), WithTables(true))
+		c, err := NewController(sys, WithMode(Hard))
 		if err != nil {
 			t.Fatalf("NewController: %v", err)
 		}
@@ -286,11 +285,7 @@ func FuzzShiftRetarget(f *testing.F) {
 			if c.System().D != nd || c.Program() == prog || c.Position() != 0 || c.Elapsed() != 0 {
 				t.Fatalf("Retarget(%v) did not install the family at a cycle start", delta)
 			}
-			tb, ok := c.Program().Evaluator().(*Tables)
-			if !ok {
-				t.Fatal("Retarget left the table path")
-			}
-			if tb.WcQminSlack[0] < 0 {
+			if tb := c.Program().Evaluator().(*Tables); tb.WcQminSlack[0] < 0 {
 				t.Fatalf("hard-mode admissibility violated: qmin slack %v", tb.WcQminSlack[0])
 			}
 			res, err := c.RunCycle(worst)

@@ -16,9 +16,6 @@ func TestProgramSharedControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.UsesTables() {
-		t.Fatal("tiny system should take the table fast path")
-	}
 	// Reference: a stand-alone controller at worst-case load.
 	ref, err := NewController(sys)
 	if err != nil {
@@ -61,38 +58,11 @@ func TestProgramSharedControllers(t *testing.T) {
 	}
 }
 
-// TestProgramDirectPathIsolation checks that direct-path controllers get
-// private schedule copies: Best_Sched permutations in one stream must
-// not leak into another.
-func TestProgramDirectPathIsolation(t *testing.T) {
-	sys := tinySystem(t)
-	prog, err := NewProgram(sys, WithTables(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.UsesTables() {
-		t.Fatal("WithTables(false) ignored")
-	}
-	a := prog.NewController()
-	b := prog.NewController()
-	if &a.alpha[0] == &b.alpha[0] {
-		t.Fatal("direct-path controllers share a schedule buffer")
-	}
-	if _, err := a.Next(); err != nil {
-		t.Fatal(err)
-	}
-	a.Completed(1)
-	// b is untouched by a's progress.
-	if b.Position() != 0 || b.Elapsed() != 0 {
-		t.Fatalf("sibling controller mutated: pos=%d t=%v", b.Position(), b.Elapsed())
-	}
-}
-
 // TestControllerResetRestoresSchedule verifies that reuse after Reset is
-// indistinguishable from a fresh instance on the direct path.
+// indistinguishable from a fresh instance.
 func TestControllerResetRestoresSchedule(t *testing.T) {
 	sys := tinySystem(t)
-	prog, err := NewProgram(sys, WithTables(false))
+	prog, err := NewProgram(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +147,6 @@ func TestProgramConcreteSelector(t *testing.T) {
 	if built.tables == nil {
 		t.Fatal("built tables: no concrete selector")
 	}
-	direct, err := NewProgram(sys, WithTables(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSelector(t, "direct path", direct)
 	supplied, err := NewProgram(sys, WithEvaluator(NewTables(sys, built.Schedule()), built.Schedule()))
 	if err != nil {
 		t.Fatal(err)

@@ -34,9 +34,8 @@ type SmoothnessReport struct {
 }
 
 // AnalyzeSmoothness computes the guaranteed bound on downward quality
-// variation for the system along the fixed schedule order alpha (the
-// table path's order). It requires a quality-independent deadline order,
-// like the tables themselves.
+// variation for the system along the fixed schedule order alpha, the
+// order the controller's tables are built along.
 func AnalyzeSmoothness(s *System, alpha []ActionID) SmoothnessReport {
 	tb := NewTables(s, alpha)
 	return analyzeSmoothness(s, tb, alpha)

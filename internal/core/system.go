@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // System is a parameterized real-time system (Definition 2.3): a
@@ -157,50 +156,4 @@ func (s *System) FeasibleAtQmin() bool {
 	d := s.HardDeadlines(0)
 	alpha := EDFSchedule(s.Graph, cwc, d)
 	return Feasible(alpha, cwc, d)
-}
-
-// UniformDeadlines reports whether the order of deadlines between actions
-// is independent of the quality level: for every pair of actions, the
-// comparison D_q(a) vs D_q(b) has the same sign for all q. This is the
-// assumption under which the prototype tool can precompute a single EDF
-// schedule and constraint tables.
-func (s *System) UniformDeadlines() bool {
-	n := s.Graph.Len()
-	// Sort actions by D_qmin. The order is quality-independent iff, along
-	// this order, every level preserves strict increases strictly and
-	// ties exactly. Transitivity over adjacent pairs covers all pairs in
-	// O(n log n + n·|Q|) instead of O(n²·|Q|).
-	order := make([]ActionID, n)
-	for a := range order {
-		order[a] = ActionID(a)
-	}
-	d0 := s.D.Fns[0]
-	sortActionsBy(order, d0)
-	for li := 1; li < len(s.Levels); li++ {
-		dq := s.D.Fns[li]
-		for k := 1; k < n; k++ {
-			a, b := order[k-1], order[k]
-			switch {
-			case d0[a] == d0[b]:
-				if dq[a] != dq[b] {
-					return false
-				}
-			default: // d0[a] < d0[b] by sort
-				if dq[a] >= dq[b] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// sortActionsBy sorts ids by key ascending, stable on ID for determinism.
-func sortActionsBy(ids []ActionID, key TimeFn) {
-	sort.SliceStable(ids, func(i, j int) bool {
-		if key[ids[i]] != key[ids[j]] {
-			return key[ids[i]] < key[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSystemValidate(t *testing.T) {
 	sys := tinySystem(t)
@@ -86,96 +82,6 @@ func TestFeasibleAtQmin(t *testing.T) {
 	if tight.FeasibleAtQmin() {
 		t.Fatal("39-cycle budget cannot fit 40 cycles of qmin worst case")
 	}
-}
-
-func TestUniformDeadlines(t *testing.T) {
-	sys := tinySystem(t)
-	if !sys.UniformDeadlines() {
-		t.Fatal("identical deadlines across levels should be uniform")
-	}
-	// Order flip between levels.
-	d := NewTimeFamily(sys.Levels, 2, 0)
-	d.Set(0, 0, 50)
-	d.Set(0, 1, 100)
-	d.Set(1, 0, 100)
-	d.Set(1, 1, 50)
-	ns := *sys
-	ns.D = d
-	if ns.UniformDeadlines() {
-		t.Fatal("order flip not detected")
-	}
-	// Tie at qmin broken at higher level is also a change of order.
-	d2 := NewTimeFamily(sys.Levels, 2, 0)
-	d2.Set(0, 0, 50)
-	d2.Set(0, 1, 50)
-	d2.Set(1, 0, 40)
-	d2.Set(1, 1, 60)
-	ns2 := *sys
-	ns2.D = d2
-	if ns2.UniformDeadlines() {
-		t.Fatal("tie split not detected")
-	}
-	// Same order with different values is uniform.
-	d3 := NewTimeFamily(sys.Levels, 2, 0)
-	d3.Set(0, 0, 50)
-	d3.Set(0, 1, 100)
-	d3.Set(1, 0, 60)
-	d3.Set(1, 1, 110)
-	ns3 := *sys
-	ns3.D = d3
-	if !ns3.UniformDeadlines() {
-		t.Fatal("order-preserving deadline scaling rejected")
-	}
-}
-
-// Cross-check the fast UniformDeadlines against the O(n^2) definition.
-func TestPropertyUniformDeadlinesMatchesDefinition(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(6)
-		nl := 2 + r.Intn(3)
-		levels := NewLevelRange(0, Level(nl-1))
-		g := randomDAG(r, n, 0.2)
-		cav := NewTimeFamily(levels, n, 1)
-		cwc := NewTimeFamily(levels, n, 1)
-		d := NewTimeFamily(levels, n, 0)
-		for a := 0; a < n; a++ {
-			for _, q := range levels {
-				d.Set(q, ActionID(a), Cycles(r.Intn(6))) // small range forces collisions
-			}
-		}
-		sys := &System{Graph: g, Levels: levels, Cav: cav, Cwc: cwc, D: d}
-		want := uniformDeadlinesNaive(sys)
-		return sys.UniformDeadlines() == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func uniformDeadlinesNaive(s *System) bool {
-	n := s.Graph.Len()
-	sign := func(a, b Cycles) int {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			s0 := sign(s.D.Fns[0][a], s.D.Fns[0][b])
-			for i := 1; i < len(s.Levels); i++ {
-				if sign(s.D.Fns[i][a], s.D.Fns[i][b]) != s0 {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }
 
 func TestModeString(t *testing.T) {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,6 +70,43 @@ func randomSystem(r *rand.Rand, maxActions, maxLevels int) *System {
 		panic("randomSystem generated an infeasible system")
 	}
 	return sys
+}
+
+// randomQualitySystem is randomSystem with each finite deadline moved
+// by a per-action rate in [−40, 80) cycles per level above qmin
+// (clamped at 0), so that the deadline order, and with it the EDF order,
+// may change with quality. The qmin deadlines are randomSystem's, so the
+// system stays feasible at qmin under worst-case times.
+func randomQualitySystem(r *rand.Rand, maxActions, maxLevels int) *System {
+	sys := randomSystem(r, maxActions, maxLevels)
+	d := sys.D.Clone()
+	for a := ActionID(0); int(a) < sys.Graph.Len(); a++ {
+		rate := Cycles(r.Intn(120) - 40)
+		base := d.AtIndex(0)[a]
+		if base.IsInf() {
+			continue
+		}
+		for qi, q := range sys.Levels {
+			d.Set(q, a, max(base+rate*Cycles(qi), 0))
+		}
+	}
+	out, err := NewSystem(sys.Graph, sys.Levels, sys.Cav, sys.Cwc, d)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// edfOrderDependsOnQuality reports whether the EDF order under
+// worst-case times differs between qmin and some other level.
+func edfOrderDependsOnQuality(sys *System) bool {
+	base := EDFSchedule(sys.Graph, sys.Cwc.AtIndex(0), sys.D.AtIndex(0))
+	for qi := 1; qi < len(sys.Levels); qi++ {
+		if !slices.Equal(base, EDFSchedule(sys.Graph, sys.Cwc.AtIndex(qi), sys.D.AtIndex(qi))) {
+			return true
+		}
+	}
+	return false
 }
 
 // actualDraw returns an actual execution time C(a) respecting the safe

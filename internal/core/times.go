@@ -432,11 +432,11 @@ func (t *TimeFamily) NonDecreasing() bool {
 }
 
 // ForAssignment materialises X_θ: the TimeFn with X_θ(a) = X_{θ(a)}(a).
-func (t *TimeFamily) ForAssignment(theta Assignment) TimeFn {
+func (t *TimeFamily) ForAssignment(asg Assignment) TimeFn {
 	n := len(t.Fns[0])
 	out := make(TimeFn, n)
 	for a := 0; a < n; a++ {
-		out[a] = t.At(theta[a], ActionID(a))
+		out[a] = t.At(asg[a], ActionID(a))
 	}
 	return out
 }

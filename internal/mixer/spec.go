@@ -34,8 +34,8 @@ func SpecFromProgram(p *core.Program) (StreamSpec, error) {
 	if nominal <= 0 {
 		return StreamSpec{}, fmt.Errorf("mixer: system has no finite positive deadline at qmin; cannot derive a budget horizon")
 	}
-	// The table-path program already carries the slack tables; rebuild
-	// them only for direct-path or custom-evaluator programs.
+	// A program carries the slack tables along its schedule; rebuild
+	// them only for a custom evaluator (IterativeTables).
 	tb, ok := p.Evaluator().(*core.Tables)
 	if !ok {
 		tb = core.NewTables(sys, alpha)

@@ -210,7 +210,8 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, r *http.Request) int {
 	st, ok := d.streams[req.Stream]
 	if ok {
 		delete(d.streams, req.Stream)
-	} else if st, ok = d.reaped[req.Stream]; ok {
+	} else if tomb, found := d.reaped[req.Stream]; found {
+		st, ok = tomb.st, true
 		delete(d.reaped, req.Stream)
 	}
 	d.mu.Unlock()
@@ -273,7 +274,7 @@ func (d *Daemon) decide(w http.ResponseWriter, r *http.Request, sc *decideScratc
 	for i := range req.Items {
 		st := d.streams[req.Items[i].Stream]
 		if st == nil {
-			st = d.reaped[req.Items[i].Stream]
+			st = d.reaped[req.Items[i].Stream].st
 		}
 		sts = append(sts, st)
 	}

@@ -125,8 +125,10 @@ type Daemon struct {
 	streams map[uint64]*stream
 	// reaped holds the tombstones of streams the reaper revoked and tore
 	// down: each stays until its client's next decide or release, which
-	// is answered as if the stream were still registered.
-	reaped map[uint64]*stream
+	// is answered as if the stream were still registered, or until it
+	// expires (see reapRevoked). epochs counts the reaper's ticks.
+	reaped map[uint64]tombstone
+	epochs uint64
 
 	// scratch pools the buffers of /v1/decide requests
 	// (*decideScratch): see getScratch and putScratch.
@@ -197,7 +199,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:        cfg,
 		models:     make(map[string]*model, len(cfg.Models)),
 		streams:    make(map[uint64]*stream),
-		reaped:     make(map[uint64]*stream),
+		reaped:     make(map[uint64]tombstone),
 		reaperStop: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 		start:      time.Now(),
@@ -306,10 +308,32 @@ func (d *Daemon) reap() {
 	}
 }
 
-// epoch is one reaper tick: it rebalances each model's budget, which
-// advances the lease epoch and revokes the grants of silent streams,
-// and then reaps those streams.
+// tombstoneLeases is how many lease windows (LeaseEpochs ticks each) a
+// tombstone outlives its stream's revocation. A tombstone only turns the
+// 404 a returning client would get into the 410 that says why; it must
+// not hold memory for a client that never returns. Sixteen windows let
+// a client that stalled for one lease window come back after fifteen
+// more and still hear why (32 s at qosd's default 4 × 500 ms).
+const tombstoneLeases = 16
+
+// tombstone is a reaped stream and the reaper tick at which it goes.
+type tombstone struct {
+	st      *stream
+	expires uint64
+}
+
+// epoch is one reaper tick: it drops the tombstones due, rebalances
+// each model's budget, which advances the lease epoch and revokes the
+// grants of silent streams, and then reaps those streams.
 func (d *Daemon) epoch() {
+	d.mu.Lock()
+	d.epochs++
+	for id, tomb := range d.reaped {
+		if tomb.expires <= d.epochs {
+			delete(d.reaped, id)
+		}
+	}
+	d.mu.Unlock()
 	for _, name := range d.order {
 		m := d.models[name]
 		m.budget.Rebalance()
@@ -321,14 +345,17 @@ func (d *Daemon) epoch() {
 // revoked, so its session goes back to the runtime now, not at its
 // client's next request. Each leaves a tombstone in d.reaped: the
 // client's next decide still gets the 410 it would have got from the
-// session, and then the tombstone goes.
+// session, and then the tombstone goes. A client that does not come
+// back within tombstoneLeases lease windows is not waited for: its
+// tombstone goes then, and its id is unknown (404) from there on.
 func (d *Daemon) reapRevoked(m *model) {
 	var gone []*stream
 	d.mu.Lock()
+	expires := d.epochs + tombstoneLeases*uint64(max(d.cfg.LeaseEpochs, 1))
 	for id, st := range d.streams {
 		if st.m == m && st.grant.Revoked() {
 			delete(d.streams, id)
-			d.reaped[id] = st
+			d.reaped[id] = tombstone{st, expires}
 			gone = append(gone, st)
 		}
 	}
@@ -369,7 +396,7 @@ func (d *Daemon) Drain() {
 		sts = append(sts, st)
 	}
 	d.streams = make(map[uint64]*stream)
-	d.reaped = make(map[uint64]*stream)
+	d.reaped = make(map[uint64]tombstone)
 	d.mu.Unlock()
 	for _, st := range sts {
 		st.mu.Lock() // waits for an in-flight decide on this stream

@@ -152,6 +152,40 @@ func TestQosdAdmitDecideRelease(t *testing.T) {
 	admitN(t, srv, 1)
 }
 
+// TestQosdServesQualityDependentDeadlines admits streams of a model
+// whose EDF order changes with quality and decides cycles at loads
+// inside the worst-case contract: every cycle is served at more than one
+// level with no miss and no fallback.
+func TestQosdServesQualityDependentDeadlines(t *testing.T) {
+	_, srv := newTestDaemon(t, func(cfg *Config) {
+		cfg.Models = []ModelFile{{Name: "crossing", Path: "../../examples/models/crossing_deadlines.qos"}}
+		cfg.Budget = 0
+	})
+	streams := admitN(t, srv, 4)
+	levels := map[int]bool{}
+	for cycle := 0; cycle < 20; cycle++ {
+		var req api.DecideRequest
+		for i, s := range streams {
+			req.Items = append(req.Items, api.DecideItem{Stream: s.ID, Load: float64((cycle+i)%5) / 4})
+		}
+		var resp api.DecideResponse
+		if code, _ := postJSON(t, srv.URL+"/v1/decide", req, &resp); code != http.StatusOK {
+			t.Fatalf("cycle %d: HTTP %d", cycle, code)
+		}
+		for _, r := range resp.Results {
+			if r.Code != api.DecideOK || r.Misses != 0 || r.Fallbacks != 0 {
+				t.Fatalf("cycle %d: %+v", cycle, r)
+			}
+			for _, l := range r.Levels {
+				levels[l] = true
+			}
+		}
+	}
+	if len(levels) < 2 {
+		t.Fatalf("every decision at one level index: %v", levels)
+	}
+}
+
 func TestQosdMalformedRequests(t *testing.T) {
 	_, srv := newTestDaemon(t, nil)
 	for _, ep := range []string{"/v1/admit", "/v1/release", "/v1/decide"} {
@@ -823,6 +857,41 @@ func TestQosdReapReleasesRevokedSessions(t *testing.T) {
 	}
 	if len(reaped.reaped) != 0 {
 		t.Fatalf("%d tombstones left after every client was answered", len(reaped.reaped))
+	}
+}
+
+// TestQosdTombstonesExpire: the tombstone of a reaped stream whose
+// client never returns goes tombstoneLeases lease windows after the
+// reaping, and the client's id is then unknown (404).
+func TestQosdTombstonesExpire(t *testing.T) {
+	const k = 2
+	d, srv := newTestDaemon(t, func(c *Config) { c.LeaseEpochs = k })
+	silent := admitN(t, srv, 1)
+	reapedAt := 0
+	for e := 1; e <= (tombstoneLeases+1)*k+1; e++ {
+		d.epoch()
+		d.mu.Lock()
+		n := len(d.reaped)
+		d.mu.Unlock()
+		switch {
+		case reapedAt == 0 && n == 1:
+			reapedAt = e
+		case reapedAt != 0 && n == 0:
+			if e-reapedAt != tombstoneLeases*k {
+				t.Fatalf("tombstone made at epoch %d went at epoch %d, want %d later", reapedAt, e, tombstoneLeases*k)
+			}
+		}
+	}
+	if reapedAt == 0 {
+		t.Fatal("the silent stream was never reaped")
+	}
+	if n := len(d.reaped); n != 0 {
+		t.Fatalf("%d tombstones left %d epochs after the reaping", n, (tombstoneLeases+1)*k+1-reapedAt)
+	}
+	var dr api.DecideResponse
+	postJSON(t, srv.URL+"/v1/decide", api.DecideRequest{Items: []api.DecideItem{{Stream: silent[0].ID}}}, &dr)
+	if dr.Results[0].Code != api.DecideUnknown {
+		t.Fatalf("a client back after its tombstone went: code %d, want 404", dr.Results[0].Code)
 	}
 }
 

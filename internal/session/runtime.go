@@ -12,8 +12,7 @@ import (
 // system: the expensive precomputed state (validation, EDF schedule,
 // constraint tables — a core.Program) is built once and shared, while
 // each concurrent stream gets its own cheap Session: one allocation
-// holding the session, its tally and its controller, plus the
-// controller's θ.
+// holding the session, its tally and its controller.
 //
 // Acquire/Release (and RunCycle, which pairs them around one cycle)
 // are safe to call from any number of goroutines; each Session itself

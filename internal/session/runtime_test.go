@@ -94,15 +94,22 @@ func TestRuntimeRetargetedSessionNotPooled(t *testing.T) {
 // in turn on one Runtime, each releasing its session before the other
 // acquires. Every cycle of either stream must match a fresh controller
 // over the runtime's program, charged the same handicap and fed the
-// same costs: the same CycleResult, assignment and schedule. No
-// acquire is handed the controller of the session released before it.
+// same costs: the same CycleResult, schedule and decisions (the
+// assignment θ, as the workload sees it action by action). No acquire
+// is handed the controller of the session released before it.
 func TestRuntimeAcquiredControllerMatchesFresh(t *testing.T) {
 	sys := demoSystem(t)
 	// costs draws each action's cost from seed: mostly within the
-	// worst-case contract, and now and then over it (a fallback).
-	costs := func(seed int64) func(core.ActionID, core.Level) core.Cycles {
+	// worst-case contract, and now and then over it (a fallback). It
+	// records each decided action and level in *decided.
+	type decision struct {
+		a core.ActionID
+		q core.Level
+	}
+	costs := func(seed int64, decided *[]decision) func(core.ActionID, core.Level) core.Cycles {
 		r := rand.New(rand.NewSource(seed))
 		return func(a core.ActionID, q core.Level) core.Cycles {
+			*decided = append(*decided, decision{a, q})
 			av, wc := sys.Cav.At(q, a), sys.Cwc.At(q, a)
 			c := av/2 + core.Cycles(r.Int63n(int64(wc-av/2)+1))
 			if r.Intn(6) == 0 {
@@ -114,7 +121,6 @@ func TestRuntimeAcquiredControllerMatchesFresh(t *testing.T) {
 	configs := map[string][]core.Option{
 		"hard":    nil,
 		"soft":    {core.WithMode(core.Soft)},
-		"direct":  {core.WithTables(false)},
 		"maxstep": {core.WithMaxStep(1)},
 	}
 	for name, opts := range configs {
@@ -137,13 +143,14 @@ func TestRuntimeAcquiredControllerMatchesFresh(t *testing.T) {
 					s.Reset()
 				}
 				seed := r.Int63()
-				got, err := s.RunFunc(costs(seed))
+				var gotDecided, wantDecided []decision
+				got, err := s.RunFunc(costs(seed, &gotDecided))
 				if err != nil {
 					t.Fatal(err)
 				}
 				fresh := rt.Program().NewController()
 				fresh.Preempt(src.d)
-				want, err := fresh.RunFunc(costs(seed))
+				want, err := fresh.RunFunc(costs(seed, &wantDecided))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,9 +158,9 @@ func TestRuntimeAcquiredControllerMatchesFresh(t *testing.T) {
 					t.Fatalf("%s turn %d cycle %d: acquired %+v, fresh %+v", name, turn, cycle, got, want)
 				}
 				fallbacks += got.Fallbacks
-				if !slices.Equal(s.Assignment(), fresh.Assignment()) || !slices.Equal(s.Schedule(), fresh.Schedule()) {
-					t.Fatalf("%s turn %d cycle %d: acquired assignment %v schedule %v, fresh %v %v", name, turn, cycle,
-						s.Assignment(), s.Schedule(), fresh.Assignment(), fresh.Schedule())
+				if !slices.Equal(gotDecided, wantDecided) || !slices.Equal(s.Schedule(), fresh.Schedule()) {
+					t.Fatalf("%s turn %d cycle %d: acquired decisions %v schedule %v, fresh %v %v", name, turn, cycle,
+						gotDecided, s.Schedule(), wantDecided, fresh.Schedule())
 				}
 			}
 			prev = s.Controller()
@@ -455,7 +462,7 @@ func TestRuntimeFreedAfterOneCollection(t *testing.T) {
 
 // TestRuntimeAcquireAllocs pins a stream's cost on the runtime: in
 // steady state AcquireBudgeted and Release on mpeg_body allocate
-// exactly the session's block and its controller's θ.
+// exactly the session's block.
 func TestRuntimeAcquireAllocs(t *testing.T) {
 	b, err := LoadModel(filepath.Join("..", "..", "examples", "models", "mpeg_body.qos"))
 	if err != nil {
@@ -471,8 +478,8 @@ func TestRuntimeAcquireAllocs(t *testing.T) {
 	}
 	src := &fixedDelay{d: 10}
 	rt.Release(rt.AcquireBudgeted(src)) // grows the live registry once
-	if got := testing.AllocsPerRun(100, func() { rt.Release(rt.AcquireBudgeted(src)) }); got != 2 {
-		t.Fatalf("AcquireBudgeted+Release: %v allocations, want 2 (block and θ)", got)
+	if got := testing.AllocsPerRun(100, func() { rt.Release(rt.AcquireBudgeted(src)) }); got != 1 {
+		t.Fatalf("AcquireBudgeted+Release: %v allocations, want 1 (the block)", got)
 	}
 }
 

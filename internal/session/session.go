@@ -215,9 +215,6 @@ func (s *Session) Stats() core.ControllerStats { return s.ctrl.Stats() }
 // Schedule returns the schedule computed so far.
 func (s *Session) Schedule() []core.ActionID { return s.ctrl.Schedule() }
 
-// Assignment returns the current quality assignment.
-func (s *Session) Assignment() core.Assignment { return s.ctrl.Assignment() }
-
 // Reset prepares the session for a new cycle over the same stream. A
 // budgeted session (Runtime.AcquireBudgeted) re-reads its shared-budget
 // share here: the cycle opens with the other streams' CPU time already

@@ -242,8 +242,6 @@ var (
 	WithMode = core.WithMode
 	// WithMaxStep bounds upward quality jumps (smoothness).
 	WithMaxStep = core.WithMaxStep
-	// WithTables forces or forbids the precomputed-table fast path.
-	WithTables = core.WithTables
 	// WithSchedule fixes the schedule order.
 	WithSchedule = core.WithSchedule
 	// WithEvaluator installs a custom admissibility evaluator.
