@@ -72,9 +72,9 @@ type Decision struct {
 
 // Program is the immutable, precomputed part of a controller: the
 // validated system, the control configuration, the schedule order α and
-// the constraint tables along it. A Program is built once
-// (NewProgram) and can then instantiate any number of Controllers, each
-// carrying only the cheap per-cycle mutable state — this is what lets
+// the constraint tables along it. A Program is built once (NewProgram)
+// and can then instantiate any number of Controllers, each carrying
+// only the cheap per-cycle mutable state — this is what lets
 // one system serve many concurrent streams: the expensive state is
 // shared, the per-stream state is per Controller.
 //

@@ -311,9 +311,9 @@ func (d *Daemon) reap() {
 // tombstoneLeases is how many lease windows (LeaseEpochs ticks each) a
 // tombstone outlives its stream's revocation. A tombstone only turns the
 // 404 a returning client would get into the 410 that says why; it must
-// not hold memory for a client that never returns. Sixteen windows let
-// a client that stalled for one lease window come back after fifteen
-// more and still hear why (32 s at qosd's default 4 × 500 ms).
+// not hold memory for a client that never returns. A revoked client
+// that comes back within sixteen lease windows of the reaping still
+// hears why (32 s at qosd's default 4 × 500 ms).
 const tombstoneLeases = 16
 
 // tombstone is a reaped stream and the reaper tick at which it goes.
